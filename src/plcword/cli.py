@@ -83,7 +83,13 @@ def _cmd_verify(args) -> dict:
     word = digits_io(args.digits, args.p)
     with open(args.cert, "r", encoding="ascii") as handle:
         payload = json.load(handle)
+    if isinstance(payload, dict) and "result" in payload:
+        payload = payload["result"]  # a whole ``cert --out`` document
+    if not isinstance(payload, dict):
+        raise ValueError("certificate file must hold a JSON object")
     cert_list = payload["certificates"] if "certificates" in payload else [payload]
+    if not isinstance(cert_list, list):
+        raise ValueError("certificates must be a JSON list")
     results = []
     for data in cert_list:
         cert = witness.PlcCertificate.from_json(data)

@@ -2,15 +2,32 @@
 
 Detects overlaps u X u X u (u a letter), fractional squares v^r v[:f], the
 complement variant v v~ v[:f] over a digit alphabet, and longest
-overlap-free subwords.  The detectors below are the plain quadratic scans
-over (position, period); ``first_overlap`` is the optimised existence scan
-used on long words and must stay result-identical to the naive path.
+overlap-free subwords.
+
+Fractional and complement squares are read off one kernel,
+``_period_runs``: for each shift m it yields the maximal runs [a, b) of
+positions j with word[j + m] == image[j].  With image = word these are the
+runs of period m, and a position pos in such a run starts a window of
+period m and length t = m + b - pos.  With image the digitwise complement
+of word, a position pos with pos + m < b starts v v~ v[:f] with
+v = word[pos:pos+m] and f = min(m, b - pos - m).  ``_run_squares`` and
+``_run_complement_squares`` turn one run into its occurrences, in
+position order; the finders flatten them, and the certificate scan in
+``witness`` reads each run only as far as its scores reach the target.
+The finders cost O(n^2) letter comparisons plus the letters they output.
+
+Along a run the windows of consecutive positions are rotations of each
+other, and gcd(p**m - 1, value(v)) is invariant under rotation of v
+(rotating multiplies the value by a power of p modulo p**m - 1), so one
+gcd serves a whole run.  ``first_overlap``
+is the optimised existence scan used on long words and must stay
+result-identical to the naive path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -149,13 +166,49 @@ def is_overlap_free(word: str) -> bool:
     return first_overlap(word) is None
 
 
-def _period_extension(word: str, pos: int, m: int) -> int:
-    """Length of the longest prefix of word[pos:] with period m (>= m)."""
+def _period_runs(word: str, image: str) -> Iterator[tuple[int, int, int]]:
+    """Maximal runs (m, a, b) with word[j + m] == image[j] for a <= j < b.
+
+    Shifts m run from 1 to len(word) - 1 and, within one shift, runs come
+    in increasing order of a.  ``image`` has the length of ``word``.
+    """
     n = len(word)
-    t = m
-    while pos + t < n and word[pos + t] == word[pos + t - m]:
-        t += 1
-    return t
+    for m in range(1, n):
+        start = -1
+        for j in range(n - m):
+            if word[j + m] == image[j]:
+                if start < 0:
+                    start = j
+            elif start >= 0:
+                yield m, start, j
+                start = -1
+        if start >= 0:
+            yield m, start, n - m
+
+
+def _run_squares(
+    word: str, m: int, a: int, b: int, min_repeats: int
+) -> Iterator[RepetitionOccurrence]:
+    """The occurrences of period m along the run [a, b), by position.
+
+    The window at pos has t = m + b - pos letters, at least min_repeats
+    whole copies; windows of whole copies only (t % m == 0) are skipped.
+    """
+    for pos in range(a, min(b - 1, b - (min_repeats - 1) * m) + 1):
+        repeats, frac = divmod(m + b - pos, m)
+        if frac:
+            yield RepetitionOccurrence(pos, word[pos : pos + m], repeats, frac)
+
+
+def _run_complement_squares(
+    word: str, m: int, a: int, b: int
+) -> Iterator[ComplementOccurrence]:
+    """The occurrences v v~ v[:f] along the complement run [a, b), by position.
+
+    f = min(m, b - pos - m) is at least 1 and never rises along the run.
+    """
+    for pos in range(a, b - m):
+        yield ComplementOccurrence(pos, word[pos : pos + m], min(m, b - pos - m))
 
 
 def find_fractional_squares(
@@ -173,18 +226,12 @@ def find_fractional_squares(
     if squares not in (2, 3):
         raise ValueError("squares must be 2 or 3")
     min_repeats = 2 if squares == 3 else 1
-    n = len(word)
-    found: list[RepetitionOccurrence] = []
-    for pos in range(n):
-        max_m = (n - pos) // min_repeats
-        for m in range(1, max_m + 1):
-            t = _period_extension(word, pos, m)
-            repeats, frac = divmod(t, m)
-            if repeats >= min_repeats and frac >= min_frac:
-                occ = RepetitionOccurrence(pos, word[pos : pos + m], repeats, frac)
-                assert occ.matches(word)
-                found.append(occ)
-    return found
+    by_position: list[list[RepetitionOccurrence]] = [[] for _ in word]
+    for m, a, b in _period_runs(word, word):
+        for occ in _run_squares(word, m, a, b, min_repeats):
+            if occ.frac_len >= min_frac:
+                by_position[occ.position].append(occ)
+    return [occ for occs in by_position for occ in occs]
 
 
 def find_complement_squares(
@@ -193,19 +240,14 @@ def find_complement_squares(
     """Occurrences of v v~ v[:f] with f >= min_frac, by position then period."""
     if min_frac < 1:
         raise ValueError("min_frac must be at least 1")
-    n = len(word)
-    found: list[ComplementOccurrence] = []
-    for pos in range(n):
-        for m in range(1, (n - pos) // 2 + 1):
-            v = word[pos : pos + m]
-            if word[pos + m : pos + 2 * m] != complement(v, base):
-                continue
-            f = 0
-            while f < m and pos + 2 * m + f < n and word[pos + 2 * m + f] == v[f]:
-                f += 1
-            if f >= min_frac:
-                found.append(ComplementOccurrence(pos, v, f))
-    return found
+    image = complement(word, base)
+    by_position: list[list[ComplementOccurrence]] = [[] for _ in word]
+    for m, a, b in _period_runs(word, image):
+        for occ in _run_complement_squares(word, m, a, b):
+            if occ.frac_len < min_frac:
+                break
+            by_position[occ.position].append(occ)
+    return [occ for occs in by_position for occ in occs]
 
 
 def longest_overlap_free_subword(word: str) -> SubwordSpan:

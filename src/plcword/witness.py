@@ -30,15 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .arithmetic import format_rational, gcd_bound, word_value
 from .repetitions import (
     ComplementOccurrence,
     RepetitionOccurrence,
-    find_complement_squares,
-    find_fractional_squares,
+    _period_runs,
+    _run_complement_squares,
+    _run_squares,
 )
-from .words import WordStream, complement
+from .words import WordStream, _require_digits, complement
 
 __all__ = [
     "PlcCertificate",
@@ -107,16 +109,40 @@ class PlcCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlcCertificate":
-        occ = RepetitionOccurrence(
-            data["k"], data["period"], data["repeats"], data["frac_len"]
-        )
+        """Parse ``to_json`` output; malformed fields raise ValueError.
+
+        The window fields are checked for shape only: q, s and bound are
+        taken as given.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a certificate must be a JSON object")
+        p, kind, k, q, s = data["p"], data["kind"], data["k"], data["q"], data["s"]
+        period, repeats, frac_len = data["period"], data["repeats"], data["frac_len"]
+        if not all(type(v) is int for v in (p, k, q, s, repeats, frac_len)):
+            raise ValueError(
+                "certificate fields p, k, q, s, repeats and frac_len must be integers"
+            )
+        if kind not in (KIND_SQUARE3, KIND_GCD):
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        if k < 0:
+            raise ValueError(f"certificate k must be non-negative, got {k}")
+        if not isinstance(period, str) or not period:
+            raise ValueError("certificate period must be a non-empty digit string")
+        _require_digits(period, p)
+        min_repeats = 2 if kind == KIND_SQUARE3 else 1
+        if repeats < min_repeats:
+            raise ValueError(f"{kind} certificates need repeats >= {min_repeats}")
+        if not 0 <= frac_len < len(period):
+            raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
+        if not isinstance(data["bound"], str):
+            raise ValueError('certificate bound must be a "num/den" string')
         return cls(
-            p=data["p"],
-            kind=data["kind"],
-            k=data["k"],
-            q=data["q"],
-            occurrence=occ,
-            s=data["s"],
+            p=p,
+            kind=kind,
+            k=k,
+            q=q,
+            occurrence=RepetitionOccurrence(k, period, repeats, frac_len),
+            s=s,
             bound=Fraction(data["bound"]),
         )
 
@@ -255,6 +281,20 @@ def complement_to_gcd_occurrence(
     return RepetitionOccurrence(occ.position, u, 1, occ.frac_len)
 
 
+def _ell_floor(period: str, base: int) -> int:
+    """A lower bound on ``gcd_bound(period, base).ell`` without a gcd.
+
+    The reduced denominator q of 0.(period) has ord_q(base) = c, the least
+    rotation taking the period to itself, and c < q unless q = c = 1; so
+    base**ell >= q > c or ell >= 1 = c.  The bound is rotation-invariant.
+    """
+    c = (period + period).find(period, 1)
+    ell = 1
+    while base**ell <= c:
+        ell += 1
+    return ell
+
+
 def scan_and_certify(
     stream: WordStream, base: int, depth: int, target_s: int
 ) -> list[PlcCertificate]:
@@ -263,24 +303,57 @@ def scan_and_certify(
     Builds gcd-kind certificates from every fractional square and every
     complement square, square3-kind certificates where two whole copies are
     present, and sorts by decreasing score (then position, period, kind).
+
+    Works run by run (see ``repetitions``).  Along a run s = window_len - c
+    with c fixed (2m for square3, m + 2 ell for gcd, since the period words
+    are rotations of each other and share one ``gcd_bound``), so the first
+    certificate of a run predicts the rest and the kept windows are a
+    prefix of the run.  A run whose longest window misses target_s even
+    with ell = 1, or with ell at its gcd-free floor ``_ell_floor``, is
+    skipped without a gcd.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     prefix = stream.prefix(depth)
+    image = complement(prefix, base)  # validates the digits, once
     seen: dict[tuple, PlcCertificate] = {}
 
-    def add(occ: RepetitionOccurrence, kind: str) -> None:
-        cert = certificate_from_occurrence(prefix, occ, base, kind)
-        key = (kind, occ.position, occ.period_word, occ.whole_repeats, occ.frac_len)
-        if cert.s >= target_s and key not in seen:
-            seen[key] = cert
+    def certify_run(occs: Iterator[RepetitionOccurrence], kind: str) -> None:
+        last = None
+        for occ in occs:
+            if last is not None and last.s - last.window_len + occ.window_len < target_s:
+                return
+            key = (kind, occ.position, occ.period_word, occ.whole_repeats, occ.frac_len)
+            last = seen.get(key) or certificate_from_occurrence(prefix, occ, base, kind)
+            if last.s < target_s:
+                return
+            seen[key] = last
 
-    for occ in find_fractional_squares(prefix, 1, 2):
-        add(occ, KIND_GCD)
-        if occ.whole_repeats >= 2:
-            add(occ, KIND_SQUARE3)
-    for comp in find_complement_squares(prefix, base, 1):
-        add(complement_to_gcd_occurrence(comp, base), KIND_GCD)
+    def may_reach(slack: int, a: int, period_len: int) -> bool:
+        # the run's best gcd score is at most slack - 2 ell
+        return slack - 2 >= target_s and (
+            slack - 2 * _ell_floor(prefix[a : a + period_len], base) >= target_s
+        )
+
+    for m, a, b in _period_runs(prefix, prefix):
+        # the window at pos = a has m + b - a letters
+        if may_reach(b - a, a, m):
+            certify_run(_run_squares(prefix, m, a, b, 1), KIND_GCD)
+        if b - a - m >= target_s:
+            certify_run(_run_squares(prefix, m, a, b, 2), KIND_SQUARE3)
+
+    for m, a, b in _period_runs(prefix, image):
+        # v v~ v[:f] is one copy of the period u = v v~ plus u[:f]
+        if may_reach(min(m, b - a - m), a, 2 * m):
+            certify_run(
+                (
+                    RepetitionOccurrence(
+                        o.position, prefix[o.position : o.position + 2 * m], 1, o.frac_len
+                    )
+                    for o in _run_complement_squares(prefix, m, a, b)
+                ),
+                KIND_GCD,
+            )
 
     return sorted(
         seen.values(),

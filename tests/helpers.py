@@ -10,7 +10,16 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from plcword import Morphism
+from hypothesis import strategies as st
+
+from plcword import (
+    ComplementOccurrence,
+    Morphism,
+    RepetitionOccurrence,
+    certificate_from_occurrence,
+    complement,
+    complement_to_gcd_occurrence,
+)
 
 
 def is_overlap_pattern(sub: str) -> bool:
@@ -48,7 +57,7 @@ def naive_is_overlap_free(word: str) -> bool:
     )
 
 
-def naive_fractional_squares(
+def literal_fractional_squares(
     word: str, min_frac: int, squares: int
 ) -> list[tuple[int, str, int, int]]:
     """Quadruple oracle: literal period-copy comparison, maximal window."""
@@ -69,6 +78,63 @@ def naive_fractional_squares(
             if repeats >= min_repeats and frac >= min_frac:
                 out.append((pos, v, repeats, frac))
     return out
+
+
+def naive_fractional_squares(
+    word: str, min_frac: int, squares: int
+) -> list[RepetitionOccurrence]:
+    """Per-(position, period) scan: extend each period greedily from pos."""
+    min_repeats = 2 if squares == 3 else 1
+    n = len(word)
+    found = []
+    for pos in range(n):
+        for m in range(1, (n - pos) // min_repeats + 1):
+            t = m
+            while pos + t < n and word[pos + t] == word[pos + t - m]:
+                t += 1
+            repeats, frac = divmod(t, m)
+            if repeats >= min_repeats and frac >= min_frac:
+                found.append(RepetitionOccurrence(pos, word[pos : pos + m], repeats, frac))
+    return found
+
+
+def naive_complement_squares(
+    word: str, base: int, min_frac: int
+) -> list[ComplementOccurrence]:
+    """Per-(position, period) scan comparing each v~ through ``complement``."""
+    n = len(word)
+    found = []
+    for pos in range(n):
+        for m in range(1, (n - pos) // 2 + 1):
+            v = word[pos : pos + m]
+            if word[pos + m : pos + 2 * m] != complement(v, base):
+                continue
+            f = 0
+            while f < m and pos + 2 * m + f < n and word[pos + 2 * m + f] == v[f]:
+                f += 1
+            if f >= min_frac:
+                found.append(ComplementOccurrence(pos, v, f))
+    return found
+
+
+def naive_scan_and_certify(prefix: str, base: int, target_s: int) -> list:
+    """Certificate for every occurrence of both naive scans, one gcd each,
+    filtered by score and sorted as ``scan_and_certify`` sorts."""
+    seen = {}
+
+    def add(occ, kind):
+        cert = certificate_from_occurrence(prefix, occ, base, kind)
+        key = (kind, occ.position, occ.period_word, occ.whole_repeats, occ.frac_len)
+        if cert.s >= target_s and key not in seen:
+            seen[key] = cert
+
+    for occ in naive_fractional_squares(prefix, 1, 2):
+        add(occ, "gcd")
+        if occ.whole_repeats >= 2:
+            add(occ, "square3")
+    for comp in naive_complement_squares(prefix, base, 1):
+        add(complement_to_gcd_occurrence(comp, base), "gcd")
+    return sorted(seen.values(), key=lambda c: (-c.s, c.k, c.occurrence.period, c.kind))
 
 
 def naive_longest_overlap_free(word: str) -> tuple[int, int]:
@@ -174,3 +240,18 @@ def iterated_lengths(m: Morphism, letter: str, steps: int) -> list[int]:
 
 def random_digit_word(rng: random.Random, length: int, base: int) -> str:
     return "".join(str(rng.randrange(base)) for _ in range(length))
+
+
+@st.composite
+def digit_words(draw, max_len: int = 40):
+    """(word, base) over bases 2, 3, 5 and 10: uniform random digits, or a
+    random period of length 1-6 repeated and cut to the drawn length."""
+    base = draw(st.sampled_from((2, 3, 5, 10)))
+    digit = st.integers(0, base - 1).map(str)
+    length = draw(st.integers(0, max_len))
+    if draw(st.booleans()):
+        word = "".join(draw(st.lists(digit, min_size=length, max_size=length)))
+    else:
+        period = "".join(draw(st.lists(digit, min_size=1, max_size=6)))
+        word = (period * length)[:length]
+    return word, base

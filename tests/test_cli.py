@@ -103,6 +103,61 @@ class TestCertifyPipeline:
         doc = run_json(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))
         assert all(r["combinatorial_ok"] for r in doc["result"]["results"])
 
+    def test_cert_out_document_verifies(self, capsys, tmp_path, digits_file):
+        path = digits_file("011011011011011011011011011011")
+        cert_path = str(tmp_path / "c.json")
+        code, _, err = run_cli(
+            capsys, "--out", cert_path, "cert", "--digits", path, "--p", "2",
+            "--target-s", "4",
+        )
+        assert code == 0, err
+        certs = json.loads((tmp_path / "c.json").read_text())["result"]["certificates"]
+        doc = run_json(capsys, "verify", "--digits", path, "--p", "2", "--cert", cert_path)
+        results = doc["result"]["results"]
+        assert len(results) == len(certs) > 0
+        assert all(r["combinatorial_ok"] for r in results)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "cube"),
+            ("k", -1),
+            ("period", 5),
+            ("period", ""),
+            ("period", "012"),
+            ("repeats", 0),
+            ("repeats", 1),
+            ("frac_len", -1),
+            ("frac_len", 2),
+            ("k", "0"),
+        ],
+    )
+    def test_malformed_certificate_is_validation_error(
+        self, capsys, tmp_path, digits_file, field, value
+    ):
+        path = digits_file("0101010")
+        cert = {
+            "p": 2, "kind": "square3", "k": 0, "q": 3, "period": "01",
+            "repeats": 2, "frac_len": 1, "s": 1, "bound": "1/2", "vacuous": False,
+        }
+        cert[field] = value
+        cert_path = tmp_path / "bad.json"
+        cert_path.write_text(json.dumps({"certificates": [cert]}))
+        code, _, err = run_cli(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"certificates": 3}, {"result": "x"}])
+    def test_malformed_certificate_file_is_validation_error(
+        self, capsys, tmp_path, digits_file, payload
+    ):
+        path = digits_file("0101010")
+        cert_path = tmp_path / "bad.json"
+        cert_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_out_flag_writes_document(self, capsys, tmp_path, digits_file):
         path = digits_file("0101010")
         out_path = tmp_path / "doc.json"

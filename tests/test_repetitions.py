@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 import plcword as pw
 from helpers import (
+    digit_words,
+    literal_fractional_squares,
+    naive_complement_squares,
     naive_find_overlaps,
     naive_fractional_squares,
     naive_is_overlap_free,
@@ -87,7 +90,7 @@ class TestFractionalSquares:
                     (o.position, o.period_word, o.whole_repeats, o.frac_len)
                     for o in pw.find_fractional_squares(word, 1, squares)
                 ]
-                assert got == naive_fractional_squares(word, 1, squares), word
+                assert got == literal_fractional_squares(word, 1, squares), word
 
     def test_matches_oracle_on_random_words(self):
         rng = random.Random(13)
@@ -99,7 +102,7 @@ class TestFractionalSquares:
                 (o.position, o.period_word, o.whole_repeats, o.frac_len)
                 for o in pw.find_fractional_squares(word, min_frac, squares)
             ]
-            assert got == naive_fractional_squares(word, min_frac, squares)
+            assert got == literal_fractional_squares(word, min_frac, squares)
 
     def test_raising_min_frac_only_removes(self):
         rng = random.Random(17)
@@ -146,6 +149,26 @@ class TestComplementSquares:
                     window = word[occ.position : occ.position + 2 * len(occ.period_word) + occ.frac_len]
                     assert window == occ.pattern(base)
                     assert 1 <= occ.frac_len <= len(occ.period_word)
+
+
+class TestRunKernelOracles:
+    @given(digit_words(), st.integers(1, 3), st.sampled_from((2, 3)))
+    @settings(max_examples=200, deadline=None)
+    def test_fractional_squares_match_naive_scan(self, word_base, min_frac, squares):
+        word, _ = word_base
+        got = pw.find_fractional_squares(word, min_frac, squares)
+        assert got == naive_fractional_squares(word, min_frac, squares)
+
+    @given(digit_words(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_complement_squares_match_naive_scan(self, word_base, min_frac):
+        word, base = word_base
+        got = pw.find_complement_squares(word, base, min_frac)
+        assert got == naive_complement_squares(word, base, min_frac)
+
+    def test_complement_scan_rejects_non_digits(self):
+        with pytest.raises(ValueError):
+            pw.find_complement_squares("0120", 2, 1)
 
 
 class TestLongestOverlapFreeSubword:

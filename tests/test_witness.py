@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plcword as pw
-from helpers import random_digit_word
+from helpers import digit_words, naive_scan_and_certify, random_digit_word
+from plcword.witness import _ell_floor
 
 
 def plant_repetition(rng, length, base=2):
@@ -221,6 +224,36 @@ class TestScanAndCertify:
             )
 
 
+class TestScanMatchesNaiveScan:
+    @given(digit_words().filter(lambda wb: wb[0]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_certificates_and_json(self, word_base):
+        word, base = word_base
+        for target in (-100, -3, 0, 1, 3):
+            got = pw.scan_and_certify(pw.LiteralStream(word), base, len(word), target)
+            want = naive_scan_and_certify(word, base, target)
+            assert got == want, target
+            assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+class TestRotationInvariance:
+    @given(
+        st.sampled_from((2, 3, 5, 7, 10)).flatmap(
+            lambda base: st.tuples(
+                st.just(base), st.text("0123456789"[:base], min_size=1, max_size=14)
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_bound_is_rotation_invariant(self, base_period):
+        base, period = base_period
+        first = pw.gcd_bound(period, base)
+        assert _ell_floor(period, base) <= first.ell
+        for j in range(1, len(period)):
+            rotated = pw.gcd_bound(period[j:] + period[:j], base)
+            assert (rotated.d, rotated.q_max, rotated.ell) == (first.d, first.q_max, first.ell)
+
+
 class TestGcdScoreConsistency:
     def test_coprime_periods_use_ell_equal_m(self):
         rng = random.Random(43)
@@ -246,3 +279,40 @@ class TestCertificateJson:
         data = cert.to_json()
         assert data["period"] == "010" and data["bound"].count("/") == 1
         assert pw.PlcCertificate.from_json(data) == cert
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "cube"),
+            ("k", -1),
+            ("period", 5),
+            ("period", None),
+            ("period", ""),
+            ("period", "012"),
+            ("repeats", 0),
+            ("frac_len", -1),
+            ("frac_len", 3),
+            ("q", 1.5),
+            ("bound", 0.5),
+        ],
+    )
+    def test_malformed_fields_raise_value_error(self, field, value):
+        occ = pw.RepetitionOccurrence(3, "010", 2, 2)
+        data = pw.certificate_from_occurrence("111" + "01001001", occ, 2, "gcd").to_json()
+        data[field] = value
+        with pytest.raises(ValueError):
+            pw.PlcCertificate.from_json(data)
+
+    def test_square3_needs_two_repeats(self):
+        occ = pw.RepetitionOccurrence(0, "01", 2, 1)
+        data = pw.certificate_from_occurrence("0101010", occ, 2, "square3").to_json()
+        assert pw.PlcCertificate.from_json(data).kind == "square3"
+        data["repeats"] = 1
+        with pytest.raises(ValueError, match="repeats"):
+            pw.PlcCertificate.from_json(data)
+        data["kind"] = "gcd"
+        assert pw.PlcCertificate.from_json(data).occurrence.whole_repeats == 1
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError):
+            pw.PlcCertificate.from_json(["p", 2])
