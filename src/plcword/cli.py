@@ -7,6 +7,7 @@ input files), 1 on internal assertion failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -249,9 +250,14 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     base = getattr(args, "p", None)
     if base is not None and not 2 <= base <= 10:
         print(f"error: base {base} out of range (2..10)", file=sys.stderr)

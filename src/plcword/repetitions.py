@@ -19,9 +19,21 @@ The finders cost O(n^2) letter comparisons plus the letters they output.
 Along a run the windows of consecutive positions are rotations of each
 other, and gcd(p**m - 1, value(v)) is invariant under rotation of v
 (rotating multiplies the value by a power of p modulo p**m - 1), so one
-gcd serves a whole run.  ``first_overlap``
-is the optimised existence scan used on long words and must stay
-result-identical to the naive path.
+gcd serves a whole run.
+
+``first_overlap`` (behind ``is_overlap_free``) finds the leftmost overlap
+of the smallest period without a scan per period.  An overlap of period m
+is a run of at least m + 1 positions with word[i] == word[i + m], so it
+contains a sample s, a multiple of m + 1; the run through s is the common
+extension of word[s:] and word[s+m:] forward plus that of word[:s] and
+word[:s+m] backward.  Both are read for all samples of a block of periods
+at once by binary lifting on a ladder of factor ids (level k names every
+factor of length 2**k), the longest-common-extension view of Main and
+Lorentz (1984) and Kolpakov and Kucherov (1999).  There are about n ln 2
+samples per doubling block of periods, so an overlap-free word costs
+O(n log^2 n); short periods keep a direct pass each, and the search stops
+at the first block with an overlap.  It must stay result-identical to the
+per-period scan kept as an oracle in the tests.
 """
 
 from __future__ import annotations
@@ -135,30 +147,125 @@ def find_overlaps(word: str, limit: int | None = None) -> list[OverlapOccurrence
     return found
 
 
+# Periods below this are scanned one pass each: for short periods that is
+# cheaper than a block of sampled extensions (measured at n = 2^13 to 2^15).
+_DIRECT_PERIODS = 32
+
+
 def first_overlap(word: str) -> OverlapOccurrence | None:
     """One overlap occurrence, or None when the word is overlap-free.
 
-    Scans period lengths in increasing order; an overlap with period m is a
-    run of m+1 consecutive positions i with word[i] == word[i+m].  Returns
-    the leftmost occurrence of the smallest period.
+    Returns the leftmost occurrence of the smallest period.  An overlap with
+    period m is a run of m+1 consecutive positions i with word[i] ==
+    word[i+m].  Periods below ``_DIRECT_PERIODS`` are scanned one at a
+    time; longer ones go in doubling blocks [lo, 2 lo) through
+    ``_block_overlap``, and the search stops at the first block with an
+    overlap.  O(n log^2 n) for an overlap-free word.
     """
     n = len(word)
     if n < 3:
         return None
-    arr = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    for m in range(1, (n - 1) // 2 + 1):
-        eq = arr[: n - m] == arr[m:]
-        padded = np.empty(len(eq) + 2, dtype=bool)
-        padded[0] = padded[-1] = False
-        padded[1:-1] = eq
-        delta = np.diff(padded.astype(np.int8))
-        starts = np.flatnonzero(delta == 1)
-        ends = np.flatnonzero(delta == -1)
-        hits = np.flatnonzero(ends - starts >= m + 1)
-        if hits.size:
-            i = int(starts[hits[0]])
+    top = (n - 1) // 2
+    letters = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    for m in range(1, min(top, _DIRECT_PERIODS - 1) + 1):
+        i = _first_long_run(letters, m)
+        if i >= 0:
             return OverlapOccurrence(i, word[i], word[i + 1 : i + m])
+    ladder = _ClassLadder(letters)
+    lo = _DIRECT_PERIODS
+    while lo <= top:
+        hi = min(2 * lo, top + 1)
+        hit = _block_overlap(ladder, n, lo, hi)
+        if hit is not None:
+            i, m = hit
+            return OverlapOccurrence(i, word[i], word[i + 1 : i + m])
+        lo = hi
     return None
+
+
+def _first_long_run(letters: np.ndarray, m: int) -> int:
+    """Start of the first run of at least m+1 positions i with
+    letters[i] == letters[i+m], or -1."""
+    n = len(letters)
+    eq = letters[: n - m] == letters[m:]
+    padded = np.empty(len(eq) + 2, dtype=bool)
+    padded[0] = padded[-1] = False
+    padded[1:-1] = eq
+    delta = np.diff(padded.astype(np.int8))
+    starts = np.flatnonzero(delta == 1)
+    ends = np.flatnonzero(delta == -1)
+    hits = np.flatnonzero(ends - starts >= m + 1)
+    return int(starts[hits[0]]) if hits.size else -1
+
+
+class _ClassLadder:
+    """Level k holds an id per factor word[i:i+2**k]; two ids of one level
+    are equal exactly when the factors are.  Levels are built on first use,
+    each by ``np.unique`` on the packed id pairs of the level below."""
+
+    def __init__(self, letters: np.ndarray):
+        self._levels = [letters]
+        self._dtype = np.min_scalar_type(len(letters))
+
+    def level(self, k: int) -> np.ndarray:
+        levels = self._levels
+        while len(levels) <= k:
+            half = 1 << (len(levels) - 1)
+            prev = levels[-1]
+            base = int(prev.max()) + 1
+            keys = prev[:-half].astype(np.min_scalar_type(base * base)) * base + prev[half:]
+            levels.append(np.unique(keys, return_inverse=True)[1].astype(self._dtype))
+        return levels[k]
+
+    def common(
+        self, x: np.ndarray, y: np.ndarray, limit: np.ndarray, backward: bool
+    ) -> np.ndarray:
+        """Per pair, min(limit, the longest common prefix of word[x:] and
+        word[y:]), or with ``backward`` of the common suffix of word[:x] and
+        word[:y]; by binary lifting, one level per step.  The limit must
+        keep every compared factor inside the word."""
+        length = np.zeros_like(limit)
+        for k in range(int(limit.max()).bit_length() - 1, -1, -1):
+            ids = self.level(k)
+            step = 1 << k
+            fits = limit - length >= step
+            if backward:
+                i, j = x - length - step, y - length - step
+            else:
+                i, j = x + length, y + length
+            i *= fits
+            j *= fits
+            fits &= ids[i] == ids[j]
+            length[fits] += step
+        return length
+
+
+def _block_overlap(
+    ladder: _ClassLadder, n: int, lo: int, hi: int
+) -> tuple[int, int] | None:
+    """(position, period) of the leftmost overlap of the smallest period in
+    [lo, hi), or None.
+
+    A run of m+1 positions contains a sample s, a multiple of m+1.  For every
+    period and sample, R = lcp(word[s:], word[s+m:]) and L = lcs(word[:s],
+    word[:s+m]), both capped at m+1, measure the run of period m through s
+    (or ending at s-1); L + R >= m+1 is an overlap at s - L.  The sample in
+    the leftmost run has L <= m, so the least s - L is exact despite the caps.
+    """
+    ladder.level(hi.bit_length() - 1)  # before the pair arrays: lower peak memory
+    spans = np.arange(lo + 1, hi + 1, dtype=np.int32)  # m + 1
+    counts = n // spans
+    span = np.repeat(spans, counts)
+    first = np.cumsum(counts, dtype=np.int32) - counts
+    s = (np.arange(len(span), dtype=np.int32) - np.repeat(first, counts)) * span
+    t = s + span - 1
+    right = ladder.common(s, t, np.minimum(span, n - t), backward=False)
+    left = ladder.common(s, t, np.minimum(span, s), backward=True)
+    hits = np.flatnonzero(left + right >= span)
+    if not hits.size:
+        return None
+    hits = hits[span[hits] == span[hits[0]]]
+    return int((s[hits] - left[hits]).min()), int(span[hits[0]]) - 1
 
 
 def is_overlap_free(word: str) -> bool:

@@ -83,6 +83,12 @@ def decompose(x: str) -> Decomposition:
         raise ValueError("word must be over the alphabet {0, 1}")
     if not is_overlap_free(x):
         raise ValueError("word contains an overlap")
+    return _factorise(x)
+
+
+def _factorise(x: str) -> Decomposition:
+    """``decompose`` without its checks, for a word known to be binary,
+    non-empty and overlap-free."""
     n = len(x)
     for total in range(n % 2, min(n, 4) + 1, 2):
         for ulen in range(total + 1):
@@ -144,7 +150,9 @@ def extract_tm_prefix(x: str) -> DecompositionChain:
     levels: list[tuple[str, str]] = []
     core = x
     while len(levels) < target_depth:
-        step = decompose(core)
+        # Only x is checked: mu(y) is a factor of x, and mu preserves
+        # overlap-freeness both ways, so every deeper core is overlap-free.
+        step = _factorise(core) if levels else decompose(core)
         if not step.y:
             break
         levels.append((step.u, step.v))

@@ -213,10 +213,14 @@ class WordStream:
         if n <= len(cache):
             return cache[:n]
         with self._lock:
-            while len(self._cache) < n:
+            chunks = [self._cache]
+            size = len(self._cache)
+            while size < n:
                 chunk = self._grow()
                 assert chunk, "stream must grow by at least one letter"
-                self._cache = self._cache + chunk
+                chunks.append(chunk)
+                size += len(chunk)
+            self._cache = "".join(chunks)
             return self._cache[:n]
 
     def _grow(self) -> str:

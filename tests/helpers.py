@@ -10,11 +10,14 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from plcword import (
+    MU,
     ComplementOccurrence,
     Morphism,
+    OverlapOccurrence,
     RepetitionOccurrence,
     certificate_from_occurrence,
     complement,
@@ -46,6 +49,40 @@ def naive_find_overlaps(word: str) -> list[tuple[int, str, str]]:
                 x_len = (length - 3) // 2
                 found.append((i, word[i], word[i + 1 : i + 1 + x_len]))
     return found
+
+
+def naive_first_overlap(word: str) -> OverlapOccurrence | None:
+    """Literal oracle for ``first_overlap``: smallest period m, then
+    leftmost position, over every window of length 2m + 1."""
+    n = len(word)
+    for m in range(1, (n - 1) // 2 + 1):
+        for i in range(n - 2 * m):
+            if is_overlap_pattern(word[i : i + 2 * m + 1]):
+                return OverlapOccurrence(i, word[i], word[i + 1 : i + m])
+    return None
+
+
+def per_period_first_overlap(word: str) -> OverlapOccurrence | None:
+    """Long-word oracle for ``first_overlap``: one vectorised pass per
+    period m, stopping at the first run of m + 1 positions with
+    word[i] == word[i + m].  O(n^2)."""
+    n = len(word)
+    if n < 3:
+        return None
+    arr = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    for m in range(1, (n - 1) // 2 + 1):
+        eq = arr[: n - m] == arr[m:]
+        padded = np.empty(len(eq) + 2, dtype=bool)
+        padded[0] = padded[-1] = False
+        padded[1:-1] = eq
+        delta = np.diff(padded.astype(np.int8))
+        starts = np.flatnonzero(delta == 1)
+        ends = np.flatnonzero(delta == -1)
+        hits = np.flatnonzero(ends - starts >= m + 1)
+        if hits.size:
+            i = int(starts[hits[0]])
+            return OverlapOccurrence(i, word[i], word[i + 1 : i + m])
+    return None
 
 
 def naive_is_overlap_free(word: str) -> bool:
@@ -255,3 +292,22 @@ def digit_words(draw, max_len: int = 40):
         period = "".join(draw(st.lists(digit, min_size=1, max_size=6)))
         word = (period * length)[:length]
     return word, base
+
+
+@st.composite
+def mu_grown_words(draw, max_len: int = 4096):
+    """A factor of mu^k(seed) for a random binary seed of 1-8 letters (the
+    seed "0" gives Thue-Morse) and the largest k with at most ``max_len``
+    letters, of log-uniform length, with 0-2 letters flipped.  An overlap
+    of period m in the seed becomes one of period m * 2**k, so these words
+    reach long periods before their first overlap."""
+    seed = draw(st.one_of(st.just("0"), st.text(alphabet="01", min_size=1, max_size=8)))
+    grown = MU.iterate(seed, (max_len // len(seed)).bit_length() - 1)
+    top = len(grown) >> draw(st.integers(0, 8))
+    length = draw(st.integers(top // 2, top))
+    start = draw(st.integers(0, len(grown) - length))
+    letters = list(grown[start : start + length])
+    if letters:
+        for i in draw(st.lists(st.integers(0, length - 1), max_size=2)):
+            letters[i] = "1" if letters[i] == "0" else "0"
+    return "".join(letters)

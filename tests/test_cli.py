@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,34 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "detect", "--digits", path, "--p", "2")
         assert code == 0
         assert json.loads(out)
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_runs(self, capsys, tm_file, digits_file):
+        # main() builds its parser once per process; every later call, after
+        # successes and errors alike, must print what a fresh process prints
+        path = digits_file("0110100110010110")
+        runs = [
+            ["cf", "--x", "7/5"],
+            ["detect", "--digits", path, "--kind", "bogus"],
+            ["decompose", "--digits", path + ".missing"],
+            ["classify", "--morphism", tm_file, "--start", "0", "--depth", "64"],
+            ["cf", "--x", "7/5"],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path_var}
+        codes = []
+        for argv in runs:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "plcword.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+        assert codes == [0, 2, 2, 0, 0]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,14 @@ import plcword as pw
 from helpers import (
     digit_words,
     literal_fractional_squares,
+    mu_grown_words,
     naive_complement_squares,
     naive_find_overlaps,
+    naive_first_overlap,
     naive_fractional_squares,
     naive_is_overlap_free,
     naive_longest_overlap_free,
+    per_period_first_overlap,
     binary_words_upto,
     random_digit_word,
 )
@@ -66,6 +70,40 @@ class TestIsOverlapFree:
                 assert naive_is_overlap_free(word)
             else:
                 assert occ.matches(word)
+
+
+class TestFirstOverlapOracles:
+    @given(
+        st.sampled_from(("01", "012", "0123456789")).flatmap(
+            lambda letters: st.text(alphabet=letters, max_size=200)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_oracle(self, word):
+        assert pw.first_overlap(word) == naive_first_overlap(word)
+
+    @given(mu_grown_words())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_period_scan_on_long_periods(self, word):
+        assert pw.first_overlap(word) == per_period_first_overlap(word)
+
+    def test_planted_overlaps_in_every_period_block(self):
+        # mu^k of "00000" has its first overlap at period 2**k, at 0
+        for k in range(12):
+            word = pw.MU.iterate("00000", k)
+            occ = pw.first_overlap(word)
+            assert occ == per_period_first_overlap(word)
+            assert (occ.position, len(occ.x) + 1) == (0, 2**k)
+
+    def test_thue_morse_peak_memory(self):
+        word = pw.thue_morse_prefix(2**15)
+        tracemalloc.start()
+        try:
+            assert pw.first_overlap(word) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestFractionalSquares:

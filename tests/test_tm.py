@@ -95,6 +95,18 @@ class TestExtractTmPrefix:
         with pytest.raises(ValueError):
             pw.extract_tm_prefix("010101")
 
+    def test_checks_overlap_freeness_once(self, monkeypatch):
+        calls = []
+
+        def counting(word):
+            calls.append(len(word))
+            return pw.is_overlap_free(word)
+
+        monkeypatch.setattr(pw.tm, "is_overlap_free", counting)
+        chain = pw.extract_tm_prefix(pw.thue_morse_prefix(1024))
+        assert chain.depth == 8
+        assert calls == [1024]
+
 
 class TestTmConstant:
     def test_examples(self):
