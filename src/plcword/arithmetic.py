@@ -140,5 +140,11 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "num/den" (or a bare integer) into an exact rational.
+
+    Malformed text and a zero denominator both raise ValueError.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None

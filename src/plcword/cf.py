@@ -35,9 +35,6 @@ class ContinuedFraction:
             acc = 1 / (a + acc)
         return self.a0 + acc
 
-    def as_list(self) -> list[int]:
-        return [self.a0, *self.quotients]
-
 
 def cf_expand(x: Fraction) -> ContinuedFraction:
     """Euclidean-algorithm expansion; reconstructing it returns x exactly."""
@@ -56,9 +53,12 @@ def cf_expand(x: Fraction) -> ContinuedFraction:
 
 @dataclass(frozen=True)
 class OrbitMaxResult:
+    """The maximum with its (k, i), and every (k, i, a_i) scanned, in order."""
+
     max_quotient: int | None
     k: int | None
     i: int | None
+    rows: tuple[tuple[int, int, int], ...] = ()
 
 
 def orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
@@ -71,13 +71,14 @@ def orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
     if max_k < 0:
         raise ValueError("max_k must be non-negative")
     x = Fraction(x)
-    best: OrbitMaxResult = OrbitMaxResult(None, None, None)
-    for k in range(max_k + 1):
-        expansion = cf_expand(x * base**k)
-        for i, a in enumerate(expansion.quotients, start=1):
-            if best.max_quotient is None or a > best.max_quotient:
-                best = OrbitMaxResult(a, k, i)
-    return best
+    rows = tuple(
+        (k, i, a)
+        for k in range(max_k + 1)
+        for i, a in enumerate(cf_expand(x * base**k).quotients, start=1)
+    )
+    # max keeps the first of equal keys, which is the leftmost attainment
+    k, i, a = max(rows, key=lambda row: row[2], default=(None, None, None))
+    return OrbitMaxResult(a, k, i, rows)
 
 
 @dataclass(frozen=True)
@@ -89,27 +90,20 @@ class SandwichResult:
     holds: bool
 
 
-def sandwich_check(y: Fraction, exclude_exact: bool = True) -> SandwichResult:
+def sandwich_check(y: Fraction) -> SandwichResult:
     """Two-sided estimate check for a reduced rational y = a/b in (0, 1).
 
     min_quality scans 1 <= q < b (q = b is excluded since it annihilates y,
-    the finite stand-in for tail behaviour; pass exclude_exact=False to
-    include it).  holds is 1/(sup+2) <= min_quality <= 1/sup.
+    the finite stand-in for tail behaviour).  holds is
+    1/(sup+2) <= min_quality <= 1/sup.
     """
     y = Fraction(y)
     a, b = y.numerator, y.denominator
     if not 0 < a < b:
         raise ValueError("y must lie strictly between 0 and 1")
     sup = max(cf_expand(y).quotients)
-    top = b - 1 if exclude_exact else b
     # q * ||q a/b|| == q * min(qa mod b, b - qa mod b) / b, all in integers
-    best_num = None
-    for q in range(1, top + 1):
-        r = q * a % b
-        cand = q * min(r, b - r)
-        if best_num is None or cand < best_num:
-            best_num = cand
-    assert best_num is not None
+    best_num = min(q * min(q * a % b, b - q * a % b) for q in range(1, b))
     min_quality = Fraction(best_num, b)
     lower = Fraction(1, sup + 2)
     upper = Fraction(1, sup)

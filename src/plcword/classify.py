@@ -18,7 +18,7 @@ returned as P2 or P3 is confirmed against a generated prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .repetitions import OverlapOccurrence, first_overlap
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _SEARCH_CAP = 1 << 20
+# P2 is reported once the witness cubed is found in the word
+_CONFIRM_POWER = 3
 
 
 def _reduced_images(m: Morphism) -> dict[str, str]:
@@ -68,33 +70,23 @@ def grows_unboundedly(m: Morphism, letter: str) -> bool:
     reduced = _reduced_images(m)
     if letter not in reduced:
         return False
-    reach = {letter}
-    frontier = [letter]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in reduced[a]:
-                if b not in reach:
-                    reach.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    for c in reach:
-        if len(reduced[c]) < 2:
-            continue
-        # is c on a cycle, i.e. reachable from itself in >= 1 steps?
-        seen = set(reduced[c])
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in reduced[a]:
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        if c in seen:
-            return True
-    return False
+    # c is on a cycle iff it is reachable from its own image
+    return any(
+        len(reduced[c]) >= 2 and c in _reachable(reduced, reduced[c])
+        for c in _reachable(reduced, letter)
+    )
+
+
+def _reachable(images: dict[str, str], sources: str) -> set[str]:
+    """Letters reachable from the source letters in zero or more steps."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for b in images[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
 
 
 def growth_classes(m: Morphism) -> dict[str, str]:
@@ -125,25 +117,12 @@ class Classification:
     growing_letter: str | None = None
 
     def to_json(self) -> dict:
-        data: dict = {"tag": self.tag}
-        if self.matched is not None:
-            data["matched"] = self.matched
-        if self.depth_checked is not None:
-            data["depth_checked"] = self.depth_checked
-        if self.witness is not None:
-            data["witness"] = self.witness
-        if self.case_label is not None:
-            data["case_label"] = self.case_label
-        if self.confirmed_power is not None:
-            data["confirmed_power"] = self.confirmed_power
-        if self.overlap is not None:
-            data["overlap"] = {
-                "pos": self.overlap.position,
-                "u": self.overlap.u,
-                "x": self.overlap.x,
-            }
-        if self.growing_letter is not None:
-            data["growing_letter"] = self.growing_letter
+        """The fields that are set, in declaration order."""
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                data[f.name] = value.to_json() if f.name == "overlap" else value
         return data
 
 
@@ -159,9 +138,7 @@ def _find_in_stream(stream: WordStream, target: str, depth: int) -> int:
     raise AssertionError(f"pattern {target!r} not found within {_SEARCH_CAP} letters")
 
 
-def classify_binary(
-    m: Morphism, start: str, depth: int = 4096, confirm_power: int = 3
-) -> Classification:
+def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classification:
     """Decide P1/P2/P3 for the fixed point of a binary morphism at ``start``.
 
     The morphism must satisfy phi(start) = start + u with u non-empty.  When
@@ -170,15 +147,13 @@ def classify_binary(
     periodic word (phi(start)) repeated, which is what the erased-image case
     yields in general anyway.
 
-    P2 returns only after the witness power v**confirm_power is found in a
+    P2 returns only after the witness power v**3 is found in a
     generated prefix; P3 only with a located overlap whose letter passes
     ``grows_unboundedly``.  P1 and UNRESOLVED are claims about the first
     ``depth`` letters.
     """
     if m.alphabet != frozenset({"0", "1"}):
         raise ValueError("classification needs the alphabet {0, 1}")
-    if confirm_power < 3:
-        raise ValueError("confirm_power must be at least 3")
     z = start
     o = "1" if z == "0" else "0"
     image = m.images[z]
@@ -188,12 +163,12 @@ def classify_binary(
     v = m.images[o]
 
     def confirmed_p2(stream: WordStream, witness: str, label: str) -> Classification:
-        _find_in_stream(stream, witness * confirm_power, depth)
+        _find_in_stream(stream, witness * _CONFIRM_POWER, depth)
         return Classification(
             tag="P2",
             witness=witness,
             case_label=label,
-            confirmed_power=confirm_power,
+            confirmed_power=_CONFIRM_POWER,
         )
 
     # u made of the start letter alone: the fixed point is z z z ...
@@ -206,11 +181,9 @@ def classify_binary(
 
     if set(v) == {o}:
         stream = FixedPointStream(m, z)
-        if len(v) >= 2:
-            # powers of o pump through phi^k(o) = o**(n**k)
-            return confirmed_p2(stream, o, "CaseII-1^n")
-        if z not in u:
-            # u = o^k and phi(o) = o: the word is z followed by o forever
+        if len(v) >= 2 or z not in u:
+            # powers of o pump through phi^k(o) = o**(n**k); or u = o^k and
+            # phi(o) = o, so the word is z followed by o forever
             return confirmed_p2(stream, o, "CaseII-1^n")
         if u.endswith(o):
             # u = u' z o^k: each application stretches the trailing o-run
@@ -258,8 +231,7 @@ def restrict_to_subalphabet(m: Morphism, letters) -> Morphism | None:
 
 @dataclass(frozen=True)
 class RecurrenceResult:
-    window: int | None
-    witness_gap: tuple[str, int] | None = None
+    window: int
 
 
 def empirical_recurrence(prefix: str, n: int) -> RecurrenceResult:
@@ -267,8 +239,7 @@ def empirical_recurrence(prefix: str, n: int) -> RecurrenceResult:
     every length-n subword occurring in the prefix.
 
     Computed from the occurrence gaps of each subword.  A finite prefix is
-    itself a window, so N = len(prefix) always works; the absent branch
-    (with its witnessing subword and window start) is kept for the schema.
+    itself a window, so N <= len(prefix).
     """
     if n < 1 or n > len(prefix):
         raise ValueError("need 1 <= n <= len(prefix)")
@@ -277,16 +248,10 @@ def empirical_recurrence(prefix: str, n: int) -> RecurrenceResult:
     for i in range(length - n + 1):
         positions.setdefault(prefix[i : i + n], []).append(i)
     needed = n
-    worst: tuple[str, int] | None = None
-    for sub, occs in positions.items():
-        cand = max(n + occs[0], length - occs[-1])
+    for occs in positions.values():
+        needed = max(needed, n + occs[0], length - occs[-1])
         for prev, nxt in zip(occs, occs[1:]):
-            cand = max(cand, n - 1 + nxt - prev)
-        if cand > needed:
-            needed = cand
-            worst = (sub, occs[0])
-    if needed > length:
-        return RecurrenceResult(None, worst)
+            needed = max(needed, n - 1 + nxt - prev)
     return RecurrenceResult(needed)
 
 

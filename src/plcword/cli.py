@@ -7,6 +7,7 @@ input files), 1 on internal assertion failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -24,32 +25,13 @@ def digits_io(path: str, base: int) -> str:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
     word = "".join(text.split())
-    for ch in word:
-        if not ("0" <= ch <= "9") or int(ch) >= base:
-            raise ValueError(f"digit file contains {ch!r}, not a base-{base} digit")
+    words._require_digits(word, base)
     return word
 
 
 def _read_morphism(path: str) -> words.Morphism:
     with open(path, "r", encoding="ascii") as handle:
         return words.parse_morphism(handle.read())
-
-
-def _occurrence_json(occ) -> dict:
-    if isinstance(occ, repetitions.RepetitionOccurrence):
-        return {
-            "pos": occ.position,
-            "period": occ.period_word,
-            "repeats": occ.whole_repeats,
-            "frac_len": occ.frac_len,
-        }
-    return {
-        "pos": occ.position,
-        "period": occ.period_word,
-        "repeats": 1,
-        "frac_len": occ.frac_len,
-        "complement": True,
-    }
 
 
 def _cmd_gen(args) -> dict:
@@ -62,14 +44,12 @@ def _cmd_detect(args) -> dict:
     word = digits_io(args.digits, args.p)
     if args.kind == "overlap":
         occs = repetitions.find_overlaps(word, args.limit)
-        return {"overlaps": [{"pos": o.position, "u": o.u, "x": o.x} for o in occs]}
+        return {"overlaps": [o.to_json() for o in occs]}
     if args.kind == "complement":
         occs = repetitions.find_complement_squares(word, args.p, args.min_frac)
     else:
         occs = repetitions.find_fractional_squares(word, args.min_frac, args.squares)
-    if args.limit is not None:
-        occs = occs[: args.limit]
-    return {"occurrences": [_occurrence_json(o) for o in occs]}
+    return {"occurrences": [o.to_json() for o in occs[: args.limit]]}
 
 
 def _cmd_cert(args) -> dict:
@@ -94,18 +74,10 @@ def _cmd_verify(args) -> dict:
     results = []
     for data in cert_list:
         cert = witness.PlcCertificate.from_json(data)
-        res = witness.verify_certificate(word, cert, args.p)
-        results.append(
-            {
-                "combinatorial_ok": res.combinatorial_ok,
-                "window_checked": res.window_checked,
-                "guaranteed_bound": (
-                    arithmetic.format_rational(res.guaranteed_bound)
-                    if res.guaranteed_bound is not None
-                    else None
-                ),
-            }
-        )
+        res = dataclasses.asdict(witness.verify_certificate(word, cert, args.p))
+        if res["guaranteed_bound"] is not None:
+            res["guaranteed_bound"] = arithmetic.format_rational(res["guaranteed_bound"])
+        results.append(res)
     return {"results": results} if "certificates" in payload else results[0]
 
 
@@ -126,15 +98,9 @@ def _cmd_cf(args) -> dict:
 
 
 def _cmd_orbit(args) -> dict:
-    x = arithmetic.parse_rational(args.x)
-    rows = []
-    for k in range(args.K + 1):
-        expansion = cf.cf_expand(x * args.p**k)
-        for i, a in enumerate(expansion.quotients, start=1):
-            rows.append({"k": k, "i": i, "a": a})
-    best = cf.orbit_max_quotient(x, args.p, args.K)
+    best = cf.orbit_max_quotient(arithmetic.parse_rational(args.x), args.p, args.K)
     return {
-        "rows": rows,
+        "rows": [{"k": k, "i": i, "a": a} for k, i, a in best.rows],
         "max": {"a": best.max_quotient, "k": best.k, "i": best.i},
     }
 
@@ -143,13 +109,8 @@ def _cmd_decompose(args) -> dict:
     word = digits_io(args.digits, 2)
     chain = tm.extract_tm_prefix(word)
     return {
+        **dataclasses.asdict(chain),
         "levels": [{"u": u, "v": v} for u, v in chain.levels],
-        "core": chain.core,
-        "depth": chain.depth,
-        "tm_prefix_len": chain.tm_prefix_len,
-        "offset": chain.offset,
-        "letter": chain.letter,
-        "target": chain.target,
     }
 
 
@@ -158,9 +119,7 @@ def _cmd_tm(args) -> dict:
     checks = tm.tm_identity_suite(args.n, args.L)
     return {
         "constant": arithmetic.format_rational(constant),
-        "identities": [
-            {"identity": c.identity, "params": c.params, "ok": c.ok} for c in checks
-        ],
+        "identities": [dataclasses.asdict(c) for c in checks],
     }
 
 
@@ -264,7 +223,7 @@ def main(argv=None) -> int:
         return 2
     try:
         result = args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -87,6 +87,14 @@ class RepetitionOccurrence:
         end = self.position + self.window_len
         return end <= len(word) and word[self.position : end] == self.pattern()
 
+    def to_json(self) -> dict:
+        return {
+            "pos": self.position,
+            "period": self.period_word,
+            "repeats": self.whole_repeats,
+            "frac_len": self.frac_len,
+        }
+
 
 @dataclass(frozen=True)
 class OverlapOccurrence:
@@ -102,6 +110,9 @@ class OverlapOccurrence:
     def matches(self, word: str) -> bool:
         end = self.position + 2 * len(self.x) + 3
         return end <= len(word) and word[self.position : end] == self.pattern()
+
+    def to_json(self) -> dict:
+        return {"pos": self.position, "u": self.u, "x": self.x}
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,15 @@ class ComplementOccurrence:
     def pattern(self, base: int) -> str:
         v = self.period_word
         return v + complement(v, base) + v[: self.frac_len]
+
+    def to_json(self) -> dict:
+        return {
+            "pos": self.position,
+            "period": self.period_word,
+            "repeats": 1,
+            "frac_len": self.frac_len,
+            "complement": True,
+        }
 
 
 class SubwordSpan(NamedTuple):

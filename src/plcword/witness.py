@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .arithmetic import format_rational, gcd_bound, word_value
+from .arithmetic import format_rational, gcd_bound, parse_rational, word_value
 from .repetitions import (
     ComplementOccurrence,
     RepetitionOccurrence,
@@ -56,6 +56,15 @@ __all__ = [
 
 KIND_SQUARE3 = "square3"
 KIND_GCD = "gcd"
+
+
+def _check_kind(kind: str, repeats: int) -> None:
+    """A known kind, with the whole copies of the period it needs."""
+    if kind not in (KIND_SQUARE3, KIND_GCD):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    least = 2 if kind == KIND_SQUARE3 else 1
+    if repeats < least:
+        raise ValueError(f"{kind} certificates need repeats >= {least}")
 
 
 class PrefixTooShortError(ValueError):
@@ -122,16 +131,12 @@ class PlcCertificate:
             raise ValueError(
                 "certificate fields p, k, q, s, repeats and frac_len must be integers"
             )
-        if kind not in (KIND_SQUARE3, KIND_GCD):
-            raise ValueError(f"unknown certificate kind {kind!r}")
+        _check_kind(kind, repeats)
         if k < 0:
             raise ValueError(f"certificate k must be non-negative, got {k}")
         if not isinstance(period, str) or not period:
             raise ValueError("certificate period must be a non-empty digit string")
         _require_digits(period, p)
-        min_repeats = 2 if kind == KIND_SQUARE3 else 1
-        if repeats < min_repeats:
-            raise ValueError(f"{kind} certificates need repeats >= {min_repeats}")
         if not 0 <= frac_len < len(period):
             raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
         if not isinstance(data["bound"], str):
@@ -143,7 +148,7 @@ class PlcCertificate:
             q=q,
             occurrence=RepetitionOccurrence(k, period, repeats, frac_len),
             s=s,
-            bound=Fraction(data["bound"]),
+            bound=parse_rational(data["bound"]),
         )
 
 
@@ -155,12 +160,9 @@ def certificate_from_occurrence(
     k is the occurrence start; an all-zero period gives gcd = p**m - 1 and
     q = 1, the certificate of an exactly rational tail.
     """
-    if kind not in (KIND_SQUARE3, KIND_GCD):
-        raise ValueError(f"unknown certificate kind {kind!r}")
+    _check_kind(kind, occ.whole_repeats)
     if not occ.matches(word):
         raise ValueError("occurrence does not match the word")
-    if kind == KIND_SQUARE3 and occ.whole_repeats < 2:
-        raise ValueError("square3 certificates need at least two whole copies")
     m = occ.period
     bound_data = gcd_bound(occ.period_word, base)
     q = bound_data.q_max

@@ -241,6 +241,8 @@ class FixedPointStream(WordStream):
 
     Writing the start image as ``a + x``, the word is the telescoping
     product ``a x phi(x) phi^2(x) ...``; each block is appended lazily.
+    Once phi fixes a block, every later block equals it, so the block is
+    doubled instead: a one-letter block then costs O(log n) applications.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -253,8 +255,11 @@ class FixedPointStream(WordStream):
         self._cache = start + self._block
 
     def _grow(self) -> str:
-        self._block = self.morphism.apply(self._block)
-        return self._block
+        block = self.morphism.apply(self._block)
+        if block == self._block:
+            block += block
+        self._block = block
+        return block
 
 
 class PeriodicStream(WordStream):

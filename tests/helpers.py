@@ -250,6 +250,17 @@ def prolongable_binary_morphisms(max_image_len: int = 3):
     return pairs
 
 
+def per_block_fixed_point(m: Morphism, start: str, n: int) -> str:
+    """First n letters of the fixed point as a x phi(x) phi^2(x) ..., where
+    the start image is a x, appending one block per step."""
+    block = m.images[start][1:]
+    word = start + block
+    while len(word) < n:
+        block = m.apply(block)
+        word += block
+    return word[:n]
+
+
 def random_morphism(rng: random.Random, max_letters: int = 3, max_image_len: int = 3):
     letters = "012"[: rng.randint(1, max_letters)]
     images = {

@@ -167,3 +167,8 @@ class TestRationalFormat:
         assert pw.format_rational(Fraction(3, 8)) == "3/8"
         assert pw.parse_rational("3/8") == Fraction(3, 8)
         assert pw.parse_rational("-7") == -7
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "x", ""])
+    def test_malformed_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            pw.parse_rational(text)

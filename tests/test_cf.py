@@ -42,6 +42,8 @@ class TestOrbitMaxQuotient:
     def test_one_third(self):
         res = pw.orbit_max_quotient(Fraction(1, 3), 2, 2)
         assert (res.max_quotient, res.k, res.i) == (3, 0, 1)
+        # 1/3 = [0; 3], 2/3 = [0; 1, 2], 4/3 = [1; 3]; the tie at k = 2 loses
+        assert res.rows == ((0, 1, 3), (1, 1, 1), (1, 2, 2), (2, 1, 3))
 
     def test_integral_orbit_point_skipped(self):
         res = pw.orbit_max_quotient(Fraction(1, 2), 2, 1)

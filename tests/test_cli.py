@@ -134,6 +134,8 @@ class TestCertifyPipeline:
             ("frac_len", -1),
             ("frac_len", 2),
             ("k", "0"),
+            ("kind", ["square3"]),
+            ("bound", "1/0"),
         ],
     )
     def test_malformed_certificate_is_validation_error(
@@ -210,6 +212,20 @@ class TestOtherCommands:
         doc = run_json(capsys, "orbit", "--x", "1/3", "--p", "2", "--K", "2")
         assert doc["result"]["max"]["a"] == 3
         assert {"k": 0, "i": 1, "a": 3} in doc["result"]["rows"]
+
+    @pytest.mark.parametrize("command", [["cf"], ["orbit", "--K", "2"]])
+    def test_zero_denominator_is_validation_error(self, capsys, command):
+        code, _, err = run_cli(capsys, *command, "--x", "1/0")
+        assert code == 2
+        assert "zero denominator" in err
+
+    def test_orbit_expands_each_point_once(self, capsys, monkeypatch):
+        calls = []
+        expand = cli.cf.cf_expand
+        monkeypatch.setattr(cli.cf, "cf_expand", lambda x: calls.append(x) or expand(x))
+        doc = run_json(capsys, "orbit", "--x", "5/7", "--p", "2", "--K", "48")
+        assert len(calls) == 49
+        assert len(doc["result"]["rows"]) > 49
 
     def test_decompose(self, capsys, digits_file):
         path = digits_file("0110100110010110")

@@ -294,6 +294,8 @@ class TestCertificateJson:
             ("frac_len", 3),
             ("q", 1.5),
             ("bound", 0.5),
+            ("bound", "1/0"),
+            ("kind", ["gcd"]),
         ],
     )
     def test_malformed_fields_raise_value_error(self, field, value):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plcword as pw
+from helpers import per_block_fixed_point, prolongable_binary_morphisms
 
 MU = pw.parse_morphism("0->01;1->10")
 
@@ -113,6 +114,33 @@ class TestFixedPointPrefix:
         for _ in range(6):
             word = MU.apply(word)
         assert pw.fixed_point_prefix(MU, "0", len(word)) == word
+
+
+class TestFixedBlock:
+    # phi fixes a block of one or two letters, at once or after one step
+    FIXED = [
+        ("0->01;1->1", "0"), ("0->011;1->1", "0"), ("0->0;1->10", "1"),
+        ("0->0;1->100", "1"), ("0->01;1->2;2->2", "0"),
+    ]
+
+    @pytest.mark.parametrize("rules,start", FIXED)
+    def test_block_doubles_instead_of_reapplying(self, rules, start, monkeypatch):
+        m = pw.parse_morphism(rules)
+        calls = []
+        apply = pw.Morphism.apply
+        monkeypatch.setattr(pw.Morphism, "apply", lambda m, w: calls.append(w) or apply(m, w))
+        prefix = pw.FixedPointStream(m, start).prefix(1 << 15)
+        assert len(calls) <= 16
+        monkeypatch.undo()
+        assert prefix == per_block_fixed_point(m, start, 1 << 15)
+
+    def test_census_prefixes_match_per_block_oracle(self):
+        n = 1 << 12
+        pairs = [(m, a) for m, a in prolongable_binary_morphisms() if pw.is_prolongable(m, a)]
+        assert len(pairs) == 176
+        for m, start in pairs:
+            stream = pw.FixedPointStream(m, start)
+            assert stream.prefix(n) == per_block_fixed_point(m, start, n), (m, start)
 
 
 class TestMorphismProperties:
