@@ -156,7 +156,7 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
         raise ValueError("classification needs the alphabet {0, 1}")
     z = start
     o = "1" if z == "0" else "0"
-    image = m.images[z]
+    image = m.image(z)
     if len(image) < 2 or image[0] != z:
         raise ValueError(f"morphism is not prolongable on {z!r}")
     u = image[1:]

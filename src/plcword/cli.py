@@ -41,6 +41,8 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_detect(args) -> dict:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     word = digits_io(args.digits, args.p)
     if args.kind == "overlap":
         occs = repetitions.find_overlaps(word, args.limit)

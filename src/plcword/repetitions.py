@@ -150,8 +150,10 @@ class SubwordSpan(NamedTuple):
 def find_overlaps(word: str, limit: int | None = None) -> list[OverlapOccurrence]:
     """All overlaps, in left-to-right then shortest-X order, up to ``limit``.
 
-    Empty result iff the word is overlap-free.
+    Empty result iff the word is overlap-free.  A limit must be positive.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     n = len(word)
     found: list[OverlapOccurrence] = []
     for pos in range(n):

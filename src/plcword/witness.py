@@ -19,8 +19,9 @@ window alone:
 s may be zero or negative, in which case the certificate is valid but
 vacuous (its bound is >= 1) and is flagged rather than dropped.
 
-Verification is purely combinatorial: re-reading the claimed digit window
-from a prefix is enough, because the inequality then holds for every real
+Verification trusts no number in a certificate: ``from_json`` works q, s
+and the bound out again from p, kind and the window.  Re-reading the window
+from a prefix is then enough, because the inequality holds for every real
 number whose expansion extends that prefix.  ``brute_force_min`` is the
 independent cross-check: an exact interval minimisation of the functional
 over small q and k that knows nothing about periods or gcds.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .arithmetic import format_rational, gcd_bound, parse_rational, word_value
+from .arithmetic import format_rational, gcd_bound, word_value
 from .repetitions import (
     ComplementOccurrence,
     RepetitionOccurrence,
@@ -40,7 +41,7 @@ from .repetitions import (
     _run_complement_squares,
     _run_squares,
 )
-from .words import WordStream, _require_digits, complement
+from .words import WordStream, complement
 
 __all__ = [
     "PlcCertificate",
@@ -58,15 +59,6 @@ KIND_SQUARE3 = "square3"
 KIND_GCD = "gcd"
 
 
-def _check_kind(kind: str, repeats: int) -> None:
-    """A known kind, with the whole copies of the period it needs."""
-    if kind not in (KIND_SQUARE3, KIND_GCD):
-        raise ValueError(f"unknown certificate kind {kind!r}")
-    least = 2 if kind == KIND_SQUARE3 else 1
-    if repeats < least:
-        raise ValueError(f"{kind} certificates need repeats >= {least}")
-
-
 class PrefixTooShortError(ValueError):
     """The digit prefix does not cover the certificate window."""
 
@@ -82,16 +74,23 @@ class PlcCertificate:
 
     The window is occurrence.pattern() read at position k; whenever a digit
     word begins with k arbitrary digits followed by that window, every real
-    x extending it satisfies q * ||q p^k x|| < bound = p**-s.
+    x extending it satisfies q * ||q p^k x|| < bound = p**-s.  q and s are
+    functions of p, kind and the window, worked out only by ``_certificate``.
     """
 
     p: int
     kind: str
-    k: int
-    q: int
     occurrence: RepetitionOccurrence
+    q: int
     s: int
-    bound: Fraction
+
+    @property
+    def k(self) -> int:
+        return self.occurrence.position
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(self.p) ** -self.s
 
     @property
     def vacuous(self) -> bool:
@@ -118,67 +117,71 @@ class PlcCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlcCertificate":
-        """Parse ``to_json`` output; malformed fields raise ValueError.
+        """Rebuild a ``to_json`` certificate from its window; trust no number.
 
-        The window fields are checked for shape only: q, s and bound are
-        taken as given.
+        p, kind and the window are read (checked for the shape slicing
+        needs), the certificate is worked out again, and every key of its
+        ``to_json`` must be present with the same value and type.  Anything
+        else raises ValueError naming the field.
         """
         if not isinstance(data, dict):
             raise ValueError("a certificate must be a JSON object")
-        p, kind, k, q, s = data["p"], data["kind"], data["k"], data["q"], data["s"]
-        period, repeats, frac_len = data["period"], data["repeats"], data["frac_len"]
-        if not all(type(v) is int for v in (p, k, q, s, repeats, frac_len)):
-            raise ValueError(
-                "certificate fields p, k, q, s, repeats and frac_len must be integers"
-            )
-        _check_kind(kind, repeats)
+
+        def field(key):
+            if key not in data:
+                raise ValueError(f"certificate is missing field {key!r}")
+            return data[key]
+
+        p, k, repeats, frac_len = map(field, ("p", "k", "repeats", "frac_len"))
+        if not all(type(v) is int for v in (p, k, repeats, frac_len)):
+            raise ValueError("certificate p, k, repeats and frac_len must be integers")
         if k < 0:
             raise ValueError(f"certificate k must be non-negative, got {k}")
-        if not isinstance(period, str) or not period:
-            raise ValueError("certificate period must be a non-empty digit string")
-        _require_digits(period, p)
+        period = field("period")
+        if not isinstance(period, str):
+            raise ValueError("certificate period must be a digit string")
         if not 0 <= frac_len < len(period):
             raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
-        if not isinstance(data["bound"], str):
-            raise ValueError('certificate bound must be a "num/den" string')
-        return cls(
-            p=p,
-            kind=kind,
-            k=k,
-            q=q,
-            occurrence=RepetitionOccurrence(k, period, repeats, frac_len),
-            s=s,
-            bound=parse_rational(data["bound"]),
-        )
+        occ = RepetitionOccurrence(k, period, repeats, frac_len)
+        cert = _certificate(p, field("kind"), occ)
+        # p**s has more than s/4 digits, so a shorter claim cannot match;
+        # checked before p is raised to an s that a forged repeats can make huge
+        if cert.s > 4 * len(str(field("bound"))):
+            raise ValueError(f"certificate field 'bound' is shorter than {p}**-{cert.s}")
+        for key, value in cert.to_json().items():
+            claim = field(key)
+            if type(claim) is not type(value) or claim != value:
+                raise ValueError(
+                    f"certificate field {key!r} is {claim!r}, its window gives {value!r}"
+                )
+        return cert
+
+
+def _certificate(p: int, kind: str, occ: RepetitionOccurrence) -> PlcCertificate:
+    """The certificate of a window: q and s from its period, copies and tail.
+
+    See the module docstring for the two score rules.  An all-zero period
+    gives gcd = p**m - 1 and q = 1, the certificate of an exactly rational
+    tail.
+    """
+    if kind not in (KIND_SQUARE3, KIND_GCD):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    least = 2 if kind == KIND_SQUARE3 else 1
+    if occ.whole_repeats < least:
+        raise ValueError(f"{kind} certificates need repeats >= {least}")
+    bound = gcd_bound(occ.period_word, p)
+    m, r, f = occ.period, occ.whole_repeats, occ.frac_len
+    s = m * (r - 2) + f if kind == KIND_SQUARE3 else m * (r - 1) + f - 2 * bound.ell
+    return PlcCertificate(p, kind, occ, bound.q_max, s)
 
 
 def certificate_from_occurrence(
     word: str, occ: RepetitionOccurrence, base: int, kind: str
 ) -> PlcCertificate:
-    """Build a certificate from a genuine occurrence (re-verified in word).
-
-    k is the occurrence start; an all-zero period gives gcd = p**m - 1 and
-    q = 1, the certificate of an exactly rational tail.
-    """
-    _check_kind(kind, occ.whole_repeats)
+    """Build a certificate from a genuine occurrence (re-verified in word)."""
     if not occ.matches(word):
         raise ValueError("occurrence does not match the word")
-    m = occ.period
-    bound_data = gcd_bound(occ.period_word, base)
-    q = bound_data.q_max
-    if kind == KIND_SQUARE3:
-        s = m * (occ.whole_repeats - 2) + occ.frac_len
-    else:
-        s = m * (occ.whole_repeats - 1) + occ.frac_len - 2 * bound_data.ell
-    return PlcCertificate(
-        p=base,
-        kind=kind,
-        k=occ.position,
-        q=q,
-        occurrence=occ,
-        s=s,
-        bound=Fraction(base) ** (-s),
-    )
+    return _certificate(base, kind, occ)
 
 
 @dataclass(frozen=True)
@@ -345,17 +348,9 @@ def scan_and_certify(
             certify_run(_run_squares(prefix, m, a, b, 2), KIND_SQUARE3)
 
     for m, a, b in _period_runs(prefix, image):
-        # v v~ v[:f] is one copy of the period u = v v~ plus u[:f]
         if may_reach(min(m, b - a - m), a, 2 * m):
-            certify_run(
-                (
-                    RepetitionOccurrence(
-                        o.position, prefix[o.position : o.position + 2 * m], 1, o.frac_len
-                    )
-                    for o in _run_complement_squares(prefix, m, a, b)
-                ),
-                KIND_GCD,
-            )
+            occs = _run_complement_squares(prefix, m, a, b)
+            certify_run((complement_to_gcd_occurrence(o, base) for o in occs), KIND_GCD)
 
     return sorted(
         seen.values(),

@@ -73,6 +73,15 @@ class Morphism:
         self.images = dict(images)
         self.alphabet = alphabet
 
+    def image(self, letter: str) -> str:
+        """The image of one letter; a letter without a rule is a MorphismError."""
+        try:
+            return self.images[letter]
+        except KeyError:
+            raise MorphismError(
+                f"letter {letter!r} is not in the morphism's alphabet"
+            ) from None
+
     def apply(self, word: str) -> str:
         """Image of a finite word (concatenation of letter images)."""
         images = self.images
@@ -145,7 +154,7 @@ def mortal_letters(m: Morphism) -> frozenset[str]:
 def is_prolongable(m: Morphism, letter: str) -> bool:
     """True iff the image of ``letter`` starts with it and the remainder is
     not a (possibly empty) product of mortal letters."""
-    image = m.images[letter]
+    image = m.image(letter)
     if not image or image[0] != letter:
         return False
     mortal = mortal_letters(m)

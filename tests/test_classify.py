@@ -110,6 +110,11 @@ class TestClassifyBinary:
         with pytest.raises(ValueError):
             pw.classify_binary(pw.parse_morphism("0->10;1->1"), "0")
 
+    @pytest.mark.parametrize("start", ["2", "01", ""])
+    def test_rejects_start_outside_the_alphabet(self, start):
+        with pytest.raises(ValueError, match="not in the morphism's alphabet"):
+            pw.classify_binary(pw.MU, start)
+
     def test_rejects_wrong_alphabet(self):
         with pytest.raises(ValueError):
             pw.classify_binary(pw.parse_morphism("0->012;1->1;2->2"), "0")

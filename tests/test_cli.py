@@ -9,6 +9,10 @@ import pytest
 from plcword import cli
 
 TM_RULES = "0->01;1->10"
+HONEST_CERT = {
+    "p": 2, "kind": "square3", "k": 0, "q": 3, "period": "01",
+    "repeats": 2, "frac_len": 1, "s": 1, "bound": "1/2", "vacuous": False,
+}
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +57,12 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", [["gen", "--length", "4"], ["classify"]])
+    def test_start_outside_the_alphabet_is_named(self, capsys, tm_file, command):
+        code, _, err = run_cli(capsys, *command, "--morphism", tm_file, "--start", "2")
+        assert code == 2
+        assert err == "error: letter '2' is not in the morphism's alphabet\n"
+
 
 class TestDetect:
     def test_square_occurrences(self, capsys, digits_file):
@@ -86,6 +96,16 @@ class TestDetect:
         path = digits_file("")
         doc = run_json(capsys, "detect", "--digits", path, "--p", "2")
         assert doc["result"]["occurrences"] == []
+
+    @pytest.mark.parametrize("kind", ["square", "complement", "overlap"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_limit_is_validation_error(self, capsys, digits_file, kind, limit):
+        path = digits_file("0000")
+        code, out, err = run_cli(
+            capsys, "detect", "--digits", path, "--kind", kind, "--limit", limit
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --limit must be at least 1, got {limit}\n"
 
     def test_base_out_of_range(self, capsys, digits_file):
         path = digits_file("0")
@@ -142,16 +162,34 @@ class TestCertifyPipeline:
         self, capsys, tmp_path, digits_file, field, value
     ):
         path = digits_file("0101010")
-        cert = {
-            "p": 2, "kind": "square3", "k": 0, "q": 3, "period": "01",
-            "repeats": 2, "frac_len": 1, "s": 1, "bound": "1/2", "vacuous": False,
-        }
+        cert = dict(HONEST_CERT)
         cert[field] = value
         cert_path = tmp_path / "bad.json"
         cert_path.write_text(json.dumps({"certificates": [cert]}))
         code, _, err = run_cli(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("field", list(HONEST_CERT))
+    def test_missing_field_is_named(self, capsys, tmp_path, digits_file, field):
+        path = digits_file("0101010")
+        cert = {k: v for k, v in HONEST_CERT.items() if k != field}
+        cert_path = tmp_path / "bad.json"
+        cert_path.write_text(json.dumps(cert))
+        code, _, err = run_cli(capsys, "verify", "--digits", path, "--cert", str(cert_path))
+        assert code == 2
+        assert err == f"error: certificate is missing field {field!r}\n"
+
+    @pytest.mark.parametrize(
+        "field, value", [("q", 7), ("s", 40), ("bound", "1/1099511627776"), ("vacuous", True)]
+    )
+    def test_forged_claim_is_named(self, capsys, tmp_path, digits_file, field, value):
+        path = digits_file("0101010")
+        cert_path = tmp_path / "forged.json"
+        cert_path.write_text(json.dumps({**HONEST_CERT, field: value}))
+        code, out, err = run_cli(capsys, "verify", "--digits", path, "--cert", str(cert_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: certificate field {field!r} is ")
 
     @pytest.mark.parametrize("payload", [[1, 2], {"certificates": 3}, {"result": "x"}])
     def test_malformed_certificate_file_is_validation_error(
@@ -175,10 +213,7 @@ class TestCertifyPipeline:
 
     def test_single_certificate_file(self, capsys, tmp_path, digits_file):
         path = digits_file("0101010")
-        cert = {
-            "p": 2, "kind": "square3", "k": 0, "q": 3, "period": "01",
-            "repeats": 2, "frac_len": 1, "s": 1, "bound": "1/2", "vacuous": False,
-        }
+        cert = dict(HONEST_CERT)
         cert_path = tmp_path / "one.json"
         cert_path.write_text(json.dumps(cert))
         doc = run_json(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))
@@ -187,10 +222,7 @@ class TestCertifyPipeline:
 
     def test_short_prefix_is_validation_error(self, capsys, tmp_path, digits_file):
         path = digits_file("010")
-        cert = {
-            "p": 2, "kind": "square3", "k": 0, "q": 3, "period": "01",
-            "repeats": 2, "frac_len": 1, "s": 1, "bound": "1/2", "vacuous": False,
-        }
+        cert = dict(HONEST_CERT)
         cert_path = tmp_path / "one.json"
         cert_path.write_text(json.dumps(cert))
         code, _, err = run_cli(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))

@@ -38,6 +38,11 @@ class TestFindOverlaps:
     def test_limit(self):
         assert len(pw.find_overlaps("0000000", 2)) == 2
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="limit"):
+            pw.find_overlaps("0000000", limit)
+
     def test_matches_oracle_exhaustively(self):
         for word in binary_words_upto(12):
             got = [(o.position, o.u, o.x) for o in pw.find_overlaps(word)]

@@ -296,6 +296,10 @@ class TestCertificateJson:
             ("bound", 0.5),
             ("bound", "1/0"),
             ("kind", ["gcd"]),
+            ("q", 7.0),
+            ("s", -1.0),
+            ("bound", 2),
+            ("vacuous", 1),
         ],
     )
     def test_malformed_fields_raise_value_error(self, field, value):
@@ -312,9 +316,90 @@ class TestCertificateJson:
         data["repeats"] = 1
         with pytest.raises(ValueError, match="repeats"):
             pw.PlcCertificate.from_json(data)
-        data["kind"] = "gcd"
-        assert pw.PlcCertificate.from_json(data).occurrence.whole_repeats == 1
+        # a gcd certificate may have one copy, but it carries its own q and s
+        occ = pw.RepetitionOccurrence(0, "01", 1, 1)
+        honest = pw.certificate_from_occurrence("0101010", occ, 2, "gcd")
+        assert pw.PlcCertificate.from_json(honest.to_json()) == honest
+        data["kind"] = "gcd"  # still the square3 s and bound
+        with pytest.raises(ValueError, match="'s'"):
+            pw.PlcCertificate.from_json(data)
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             pw.PlcCertificate.from_json(["p", 2])
+
+    def test_forged_repeats_does_not_raise_p_to_its_score(self):
+        # s is about 10**9, so the honest bound 1/7**s has some 8 * 10**8
+        # digits; the short claim is rejected before the power is taken
+        occ = pw.RepetitionOccurrence(0, "01", 2, 1)
+        data = pw.certificate_from_occurrence("01010", occ, 7, "square3").to_json()
+        data["repeats"] = 10**9 // 2
+        with pytest.raises(ValueError, match="'bound'"):
+            pw.PlcCertificate.from_json(data)
+
+
+def mutations(data: dict) -> list[tuple[str, object]]:
+    """Single-field edits of a certificate's JSON, every field at least once."""
+    p, period = data["p"], data["period"]
+    bump = str((int(period[0]) + 1) % p) + period[1:]
+    edits = [
+        ("p", p + 1),
+        ("kind", "gcd" if data["kind"] == "square3" else "square3"),
+        ("period", bump),
+        ("period", period[1:] + period[:1]),
+        ("bound", f"1/{2 * int(data['bound'].split('/')[1])}"),
+        ("vacuous", not data["vacuous"]),
+    ]
+    for field in ("k", "q", "repeats", "frac_len", "s"):
+        edits += [(field, data[field] + 1), (field, data[field] - 1)]
+    return [(f, v) for f, v in edits if v != data[f]]
+
+
+class TestMutatedCertificates:
+    """Every single-field edit of an emitted certificate fails to verify.
+
+    q, s, bound and vacuous are derived, so ``from_json`` rejects any edit of
+    them and names the field.  p, kind and the window are stored: their edit
+    is rejected, fails the window check, or (when the edited window really
+    reads there) is itself an honest certificate of the prefix.
+    """
+
+    TM = pw.FixedPointStream(pw.MU, "0").prefix(48)
+    FIB = pw.FixedPointStream(pw.parse_morphism("0->01;1->0"), "0").prefix(48)
+    CASES = [
+        (TM, 2), (TM, 3), (FIB, 2), (FIB, 3),
+        (random_digit_word(random.Random(53), 40, 2), 2),
+        (random_digit_word(random.Random(59), 40, 3), 3),
+    ]
+
+    @pytest.mark.parametrize(
+        "word, base", CASES, ids=["tm2", "tm3", "fib2", "fib3", "rand2", "rand3"]
+    )
+    def test_no_edit_verifies_a_false_claim(self, word, base):
+        certs = pw.scan_and_certify(pw.LiteralStream(word), base, len(word), -100)
+        assert len(certs) > 20
+        rejected = true_edits = 0
+        for cert in certs:
+            data = cert.to_json()
+            assert pw.PlcCertificate.from_json(data) == cert
+            for field, value in mutations(data):
+                edited = {**data, field: value}
+                if field in ("q", "s", "bound", "vacuous"):
+                    with pytest.raises(ValueError, match=f"'{field}'"):
+                        pw.PlcCertificate.from_json(edited)
+                    continue
+                try:
+                    claim = pw.PlcCertificate.from_json(edited)
+                    ok = pw.verify_certificate(word, claim, base).combinatorial_ok
+                except ValueError:  # also a base mismatch or a short prefix
+                    ok = False
+                if not ok:
+                    rejected += 1
+                    continue
+                true_edits += 1
+                honest = pw.certificate_from_occurrence(
+                    word, claim.occurrence, claim.p, claim.kind
+                )
+                assert honest.to_json() == edited
+        assert rejected > 10 * true_edits
+

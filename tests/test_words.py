@@ -80,6 +80,10 @@ class TestProlongable:
     def test_wrong_head_is_not(self):
         assert not pw.is_prolongable(pw.parse_morphism("0->10;1->1"), "0")
 
+    def test_letter_outside_the_alphabet_is_named(self):
+        with pytest.raises(pw.MorphismError, match="'2' is not in the morphism's alphabet"):
+            pw.is_prolongable(MU, "2")
+
 
 class TestFixedPointPrefix:
     def test_thue_morse_16(self):
