@@ -72,14 +72,11 @@ from .witness import (
     verify_certificate,
 )
 from .words import (
-    CodedStream,
     FixedPointStream,
-    LiteralStream,
     Morphism,
     MorphismError,
     MorphismProperties,
     PeriodicStream,
-    ShiftedStream,
     WordStream,
     complement,
     fixed_point_prefix,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .words import _require_base, _require_digits, complement
@@ -135,8 +136,10 @@ def complement_divisibility_check(word: str, base: int) -> ComplementDivisibilit
 
 
 def format_rational(x: Fraction) -> str:
+    """"num/den" in lowest terms.  ``Decimal`` prints ints of any length,
+    where ``str`` refuses more than ``sys.get_int_max_str_digits()``."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -57,8 +57,11 @@ def _cmd_detect(args) -> dict:
 def _cmd_cert(args) -> dict:
     word = digits_io(args.digits, args.p)
     depth = args.depth if args.depth is not None else len(word)
-    stream = words.LiteralStream(word)
-    certs = witness.scan_and_certify(stream, args.p, depth, args.target_s)
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if depth > len(word):
+        raise ValueError(f"word has only {len(word)} letters, asked for {depth}")
+    certs = witness.scan_and_certify(word[:depth], args.p, args.target_s)
     return {"certificates": [c.to_json() for c in certs]}
 
 

@@ -180,8 +180,7 @@ def tm_digit_word(a: int, b: int, length: int) -> str:
     """Digits of the coding of the Thue-Morse word sending 0 -> a, 1 -> b."""
     if not 0 <= a <= 9 or not 0 <= b <= 9:
         raise ValueError("coded digits must be single decimal digits")
-    table = {"0": str(a), "1": str(b)}
-    return "".join(table[ch] for ch in thue_morse_prefix(length))
+    return thue_morse_prefix(length).translate(str.maketrans("01", f"{a}{b}"))
 
 
 def tm_constant(a: int, b: int, base: int, length: int) -> Fraction:

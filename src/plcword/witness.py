@@ -41,7 +41,7 @@ from .repetitions import (
     _run_complement_squares,
     _run_squares,
 )
-from .words import WordStream, complement
+from .words import complement
 
 __all__ = [
     "PlcCertificate",
@@ -300,14 +300,14 @@ def _ell_floor(period: str, base: int) -> int:
     return ell
 
 
-def scan_and_certify(
-    stream: WordStream, base: int, depth: int, target_s: int
-) -> list[PlcCertificate]:
-    """Scan a prefix for repetitions and return certificates with s >= target_s.
+def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertificate]:
+    """Scan a digit prefix for repetitions; return certificates with s >= target_s.
 
-    Builds gcd-kind certificates from every fractional square and every
-    complement square, square3-kind certificates where two whole copies are
-    present, and sorts by decreasing score (then position, period, kind).
+    Every window lies inside the prefix, so each certificate holds for every
+    x whose base-p expansion extends it; an empty prefix gives none.  Builds
+    gcd-kind certificates from every fractional square and every complement
+    square, square3-kind certificates where two whole copies are present,
+    and sorts by decreasing score (then position, period, kind).
 
     Works run by run (see ``repetitions``).  Along a run s = window_len - c
     with c fixed (2m for square3, m + 2 ell for gcd, since the period words
@@ -317,9 +317,6 @@ def scan_and_certify(
     with ell = 1, or with ell at its gcd-free floor ``_ell_floor``, is
     skipped without a gcd.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    prefix = stream.prefix(depth)
     image = complement(prefix, base)  # validates the digits, once
     seen: dict[tuple, PlcCertificate] = {}
 

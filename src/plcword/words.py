@@ -23,10 +23,10 @@ __all__ = [
     "WordStream",
     "FixedPointStream",
     "PeriodicStream",
-    "LiteralStream",
-    "CodedStream",
-    "ShiftedStream",
 ]
+
+
+_DIGITS = "0123456789"
 
 
 class MorphismError(ValueError):
@@ -40,9 +40,9 @@ def _require_base(base: int) -> None:
 
 def _require_digits(word: str, base: int) -> None:
     _require_base(base)
-    for ch in word:
-        if not ("0" <= ch <= "9") or int(ch) >= base:
-            raise ValueError(f"letter {ch!r} is not a base-{base} digit")
+    rest = word.lstrip(_DIGITS[:base])
+    if rest:
+        raise ValueError(f"letter {rest[0]!r} is not a base-{base} digit")
 
 
 class Morphism:
@@ -95,10 +95,6 @@ class Morphism:
         for _ in range(n):
             word = self.apply(word)
         return word
-
-    @property
-    def is_coding(self) -> bool:
-        return all(len(img) == 1 for img in self.images.values())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Morphism) and self.images == other.images
@@ -199,7 +195,8 @@ def morphism_properties(m: Morphism) -> MorphismProperties:
 def complement(word: str, base: int) -> str:
     """Letterwise digit map b -> base-1-b; an involution on digit words."""
     _require_digits(word, base)
-    return "".join(str(base - 1 - int(ch)) for ch in word)
+    digits = _DIGITS[:base]
+    return word.translate(str.maketrans(digits, digits[::-1]))
 
 
 class WordStream:
@@ -210,8 +207,7 @@ class WordStream:
     readers always observe consistent prefixes.
     """
 
-    def __init__(self, alphabet):
-        self.alphabet = frozenset(alphabet)
+    def __init__(self):
         self._cache = ""
         self._lock = threading.Lock()
 
@@ -235,15 +231,6 @@ class WordStream:
     def _grow(self) -> str:
         raise NotImplementedError
 
-    def letter(self, i: int) -> str:
-        return self.prefix(i + 1)[i]
-
-    def shift(self, k: int) -> "ShiftedStream":
-        return ShiftedStream(self, k)
-
-    def coded(self, coding: Morphism) -> "CodedStream":
-        return CodedStream(self, coding)
-
 
 class FixedPointStream(WordStream):
     """The fixed point of a morphism prolongable on its start letter.
@@ -257,7 +244,7 @@ class FixedPointStream(WordStream):
     def __init__(self, morphism: Morphism, start: str):
         if not is_prolongable(morphism, start):
             raise MorphismError(f"morphism is not prolongable on {start!r}")
-        super().__init__(morphism.alphabet)
+        super().__init__()
         self.morphism = morphism
         self.start = start
         self._block = morphism.images[start][1:]
@@ -277,52 +264,11 @@ class PeriodicStream(WordStream):
     def __init__(self, period: str):
         if not period:
             raise ValueError("period must be non-empty")
-        super().__init__(set(period))
+        super().__init__()
         self.period = period
 
     def _grow(self) -> str:
         return self.period
-
-
-class LiteralStream(WordStream):
-    """A finite word viewed as a stream; prefixes beyond its length fail."""
-
-    def __init__(self, word: str):
-        super().__init__(set(word))
-        self.word = word
-
-    def prefix(self, n: int) -> str:
-        if n > len(self.word):
-            raise ValueError(f"word has only {len(self.word)} letters, asked for {n}")
-        return self.word[:n]
-
-
-class CodedStream(WordStream):
-    """Letter-to-letter image of a base stream; preserves positions."""
-
-    def __init__(self, base_stream: WordStream, coding: Morphism):
-        if not coding.is_coding:
-            raise MorphismError("coding must map letters to single letters")
-        super().__init__(coding.apply("".join(sorted(coding.alphabet))))
-        self.base_stream = base_stream
-        self.coding = coding
-
-    def prefix(self, n: int) -> str:
-        return self.coding.apply(self.base_stream.prefix(n))
-
-
-class ShiftedStream(WordStream):
-    """The base stream with its first k letters dropped."""
-
-    def __init__(self, base_stream: WordStream, k: int):
-        if k < 0:
-            raise ValueError("shift must be non-negative")
-        super().__init__(base_stream.alphabet)
-        self.base_stream = base_stream
-        self.k = k
-
-    def prefix(self, n: int) -> str:
-        return self.base_stream.prefix(n + self.k)[self.k :]
 
 
 def fixed_point_prefix(m: Morphism, start: str, n: int) -> str:

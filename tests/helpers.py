@@ -286,6 +286,11 @@ def iterated_lengths(m: Morphism, letter: str, steps: int) -> list[int]:
     return lengths
 
 
+def naive_complement(word: str, base: int) -> str:
+    """Letterwise b -> base-1-b, one ``int`` per letter; ``complement``'s oracle."""
+    return "".join(str(base - 1 - int(ch)) for ch in word)
+
+
 def random_digit_word(rng: random.Random, length: int, base: int) -> str:
     return "".join(str(rng.randrange(base)) for _ in range(length))
 

@@ -26,6 +26,11 @@ class TestWordValue:
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):
             pw.word_value("2", 2)
+        with pytest.raises(ValueError, match="letter 'a' is not a base-2 digit"):
+            pw.word_value("01a2", 2)
+        # int() reads the Arabic-Indic three as 3; the digit rule must not
+        with pytest.raises(ValueError, match="is not a base-10 digit"):
+            pw.word_value("1\u0663", 10)
 
 
 class TestIntToWord:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,29 @@ class TestCertifyPipeline:
         results = doc["result"]["results"]
         assert len(results) == len(certs) > 0
         assert all(r["combinatorial_ok"] for r in results)
+
+    @pytest.mark.parametrize(
+        "content, depth",
+        [("0110", ["--depth", "0"]), ("0110", ["--depth", "5"]), ("", [])],
+        ids=["depth-zero", "depth-past-the-word", "empty-file"],
+    )
+    def test_depth_outside_the_word_is_validation_error(
+        self, capsys, digits_file, content, depth
+    ):
+        path = digits_file(content)
+        code, out, err = run_cli(capsys, "cert", "--digits", path, *depth)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_bound_past_the_int_string_limit_verifies(self, capsys, tmp_path, digits_file):
+        path = digits_file("01" * 7500)
+        bound = f"1/{Decimal(2**14996)}"
+        cert = {**HONEST_CERT, "repeats": 7500, "frac_len": 0, "s": 14996, "bound": bound}
+        cert_path = tmp_path / "long.json"
+        cert_path.write_text(json.dumps(cert))
+        doc = run_json(capsys, "verify", "--digits", path, "--cert", str(cert_path))
+        assert doc["result"]["combinatorial_ok"]
+        assert doc["result"]["guaranteed_bound"] == bound
 
     @pytest.mark.parametrize(
         "field, value",

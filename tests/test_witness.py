@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -181,25 +182,25 @@ class TestSoundness:
 class TestScanAndCertify:
     def test_periodic_stream_scores_grow(self):
         stream = pw.PeriodicStream("011")
-        certs = pw.scan_and_certify(stream, 2, 30, 4)
+        certs = pw.scan_and_certify(stream.prefix(30), 2, 4)
         assert certs
         best = certs[0]
         assert best.kind == "square3"
         assert best.occurrence.period_word in ("011", "110", "101")
         assert best.s >= 30 // 3 - 3
-        deeper = pw.scan_and_certify(pw.PeriodicStream("011"), 2, 60, 4)
+        deeper = pw.scan_and_certify(pw.PeriodicStream("011").prefix(60), 2, 4)
         assert deeper[0].s > best.s
 
     def test_thue_morse_has_no_square3_certificates(self):
         stream = pw.FixedPointStream(pw.MU, "0")
-        certs = pw.scan_and_certify(stream, 2, 64, -100)
+        certs = pw.scan_and_certify(stream.prefix(64), 2, -100)
         assert certs, "gcd-kind certificates still appear"
         assert not [c for c in certs if c.kind == "square3"]
 
     def test_complement_pattern_yields_gcd_certificate(self):
         # v v~ v[:1] patterns over base 3, as in the periodic word 1210...
         stream = pw.PeriodicStream("1210")
-        certs = pw.scan_and_certify(stream, 3, 6, -5)
+        certs = pw.scan_and_certify(stream.prefix(6), 3, -5)
         comp = [
             c
             for c in certs
@@ -210,8 +211,8 @@ class TestScanAndCertify:
 
     def test_sorted_by_decreasing_score_and_deterministic(self):
         stream = pw.PeriodicStream("0110")
-        once = pw.scan_and_certify(stream, 2, 40, 0)
-        again = pw.scan_and_certify(pw.PeriodicStream("0110"), 2, 40, 0)
+        once = pw.scan_and_certify(stream.prefix(40), 2, 0)
+        again = pw.scan_and_certify(pw.PeriodicStream("0110").prefix(40), 2, 0)
         assert once == again
         assert [c.s for c in once] == sorted((c.s for c in once), reverse=True)
 
@@ -220,7 +221,7 @@ class TestScanAndCertify:
         for target in (0, 5, 10):
             assert all(
                 c.s >= target
-                for c in pw.scan_and_certify(stream, 2, 40, target)
+                for c in pw.scan_and_certify(stream.prefix(40), 2, target)
             )
 
 
@@ -230,7 +231,7 @@ class TestScanMatchesNaiveScan:
     def test_same_certificates_and_json(self, word_base):
         word, base = word_base
         for target in (-100, -3, 0, 1, 3):
-            got = pw.scan_and_certify(pw.LiteralStream(word), base, len(word), target)
+            got = pw.scan_and_certify(word, base, target)
             want = naive_scan_and_certify(word, base, target)
             assert got == want, target
             assert [c.to_json() for c in got] == [c.to_json() for c in want]
@@ -309,6 +310,17 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             pw.PlcCertificate.from_json(data)
 
+    def test_round_trip_past_the_int_string_limit(self):
+        # s = 14,996, so the bound's denominator has 4,515 digits: more than
+        # str() converts by default
+        occ = pw.RepetitionOccurrence(0, "01", 7500, 0)
+        cert = pw.certificate_from_occurrence("01" * 7500, occ, 2, "square3")
+        data = cert.to_json()
+        assert data["s"] == 14996
+        one, den = data["bound"].split("/")
+        assert (one, len(den), Decimal(den)) == ("1", 4515, 2**14996)
+        assert pw.PlcCertificate.from_json(data) == cert
+
     def test_square3_needs_two_repeats(self):
         occ = pw.RepetitionOccurrence(0, "01", 2, 1)
         data = pw.certificate_from_occurrence("0101010", occ, 2, "square3").to_json()
@@ -376,7 +388,7 @@ class TestMutatedCertificates:
         "word, base", CASES, ids=["tm2", "tm3", "fib2", "fib3", "rand2", "rand3"]
     )
     def test_no_edit_verifies_a_false_claim(self, word, base):
-        certs = pw.scan_and_certify(pw.LiteralStream(word), base, len(word), -100)
+        certs = pw.scan_and_certify(word, base, -100)
         assert len(certs) > 20
         rejected = true_edits = 0
         for cert in certs:

@@ -5,7 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plcword as pw
-from helpers import per_block_fixed_point, prolongable_binary_morphisms
+from helpers import (
+    digit_words,
+    naive_complement,
+    per_block_fixed_point,
+    prolongable_binary_morphisms,
+)
 
 MU = pw.parse_morphism("0->01;1->10")
 
@@ -179,6 +184,19 @@ class TestComplement:
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):
             pw.complement("2", 2)
+        with pytest.raises(ValueError, match="letter 'a' is not a base-2 digit"):
+            pw.complement("01a2", 2)
+        with pytest.raises(ValueError, match="letter '\u0663' is not a base-10 digit"):
+            pw.complement("0\u0663", 10)
+        with pytest.raises(ValueError, match="base must be between 2 and 10, got 11"):
+            pw.complement("", 11)
+
+    @given(digit_words())
+    def test_matches_per_letter_oracle(self, word_base):
+        word, base = word_base
+        assert pw.complement(word, base) == naive_complement(word, base)
+        tm = pw.thue_morse_prefix(len(word))
+        assert pw.tm_digit_word(base - 1, base - 2, len(word)) == naive_complement(tm, base)
 
     @given(st.integers(2, 10), st.text(alphabet="0123456789", max_size=30))
     def test_involution(self, base, word):
@@ -190,26 +208,6 @@ class TestStreams:
     def test_periodic(self):
         s = pw.PeriodicStream("011")
         assert s.prefix(8) == "01101101"
-
-    def test_shift(self):
-        s = pw.FixedPointStream(MU, "0").shift(1)
-        assert s.prefix(5) == "11010"
-
-    def test_coded_preserves_length(self):
-        coding = pw.parse_morphism("0->a;1->b;a->a;b->b")
-        s = pw.FixedPointStream(MU, "0").coded(coding)
-        assert s.prefix(6) == "abbaba"
-        assert len(s.prefix(33)) == 33
-
-    def test_coding_rejects_long_images(self):
-        with pytest.raises(pw.MorphismError):
-            pw.FixedPointStream(MU, "0").coded(MU)
-
-    def test_literal_bounds(self):
-        s = pw.LiteralStream("0110")
-        assert s.prefix(4) == "0110"
-        with pytest.raises(ValueError):
-            s.prefix(5)
 
     def test_concurrent_readers_see_consistent_prefixes(self):
         stream = pw.FixedPointStream(MU, "0")
