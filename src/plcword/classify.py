@@ -126,10 +126,14 @@ class Classification:
         return data
 
 
-def _find_in_stream(stream: WordStream, target: str, depth: int) -> int:
-    """Index of the first occurrence of target, extending the prefix as
-    needed (the callers only search for patterns certain to occur)."""
-    size = max(depth, 4 * len(target) + 64)
+def _find_in_stream(stream: WordStream, target: str) -> int:
+    """Index of the first occurrence of target in the stream.
+
+    Reads 4 * len(target) + 64 letters first and doubles the prefix up to
+    ``_SEARCH_CAP``; the first occurrence does not depend on where the
+    search starts.  The callers only search for patterns certain to occur.
+    """
+    size = 4 * len(target) + 64
     while size <= _SEARCH_CAP:
         idx = stream.prefix(size).find(target)
         if idx >= 0:
@@ -147,11 +151,15 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
     periodic word (phi(start)) repeated, which is what the erased-image case
     yields in general anyway.
 
-    P2 returns only after the witness power v**3 is found in a
-    generated prefix; P3 only with a located overlap whose letter passes
-    ``grows_unboundedly``.  P1 and UNRESOLVED are claims about the first
-    ``depth`` letters.
+    P2 returns only after the witness power v**3 is found in a generated
+    prefix, and Case II's P3 only after its overlap is; these searches read
+    as far as the pattern needs, whatever ``depth`` is.  ``depth`` (at
+    least 1) bounds only the Case III overlap scan: P3 there needs an
+    overlap in the first ``depth`` letters whose letter passes
+    ``grows_unboundedly``, and P1 and UNRESOLVED are claims about them.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if m.alphabet != frozenset({"0", "1"}):
         raise ValueError("classification needs the alphabet {0, 1}")
     z = start
@@ -163,7 +171,7 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
     v = m.images[o]
 
     def confirmed_p2(stream: WordStream, witness: str, label: str) -> Classification:
-        _find_in_stream(stream, witness * _CONFIRM_POWER, depth)
+        _find_in_stream(stream, witness * _CONFIRM_POWER)
         return Classification(
             tag="P2",
             witness=witness,
@@ -193,7 +201,7 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
         body = u[:-1]
         run = len(body) - len(body.rstrip(o))
         pattern = z + o * run + z + o * run + z
-        pos = _find_in_stream(stream, pattern, depth)
+        pos = _find_in_stream(stream, pattern)
         occ = OverlapOccurrence(pos, z, o * run)
         assert grows_unboundedly(m, z)
         return Classification(tag="P3", overlap=occ, growing_letter=z)

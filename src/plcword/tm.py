@@ -39,8 +39,6 @@ MU = Morphism({"0": "01", "1": "10"})
 
 _TM_STREAMS = {"0": FixedPointStream(MU, "0"), "1": FixedPointStream(MU, "1")}
 
-_PAIR_PREIMAGE = {"01": "0", "10": "1"}
-
 
 def thue_morse_prefix(n: int, start: str = "0") -> str:
     """First n letters of the Thue-Morse word (start '0') or its complement."""
@@ -60,15 +58,10 @@ class Decomposition:
 
 
 def _mu_preimage(word: str) -> str | None:
-    if len(word) % 2:
-        return None
-    letters = []
-    for i in range(0, len(word), 2):
-        letter = _PAIR_PREIMAGE.get(word[i : i + 2])
-        if letter is None:
-            return None
-        letters.append(letter)
-    return "".join(letters)
+    """The y with mu(y) = word, or None: mu(y) interleaves y with its
+    complement, so an odd-length word has one letter too many to match."""
+    y = word[::2]
+    return y if word[1::2] == complement(y, 2) else None
 
 
 def decompose(x: str) -> Decomposition:

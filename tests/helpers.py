@@ -291,6 +291,20 @@ def naive_complement(word: str, base: int) -> str:
     return "".join(str(base - 1 - int(ch)) for ch in word)
 
 
+def naive_mu_preimage(word: str) -> str | None:
+    """The y with mu(y) = word, read pair by pair; ``tm._mu_preimage``'s
+    oracle."""
+    if len(word) % 2:
+        return None
+    letters = []
+    for i in range(0, len(word), 2):
+        letter = {"01": "0", "10": "1"}.get(word[i : i + 2])
+        if letter is None:
+            return None
+        letters.append(letter)
+    return "".join(letters)
+
+
 def random_digit_word(rng: random.Random, length: int, base: int) -> str:
     return "".join(str(rng.randrange(base)) for _ in range(length))
 
@@ -326,4 +340,18 @@ def mu_grown_words(draw, max_len: int = 4096):
     if letters:
         for i in draw(st.lists(st.integers(0, length - 1), max_size=2)):
             letters[i] = "1" if letters[i] == "0" else "0"
+    return "".join(letters)
+
+
+@st.composite
+def near_mu_images(draw, max_len: int = 40):
+    """mu(y) for a random binary y, with 0-2 letters flipped and, half the
+    time, its last letter cut to give an odd length."""
+    y = draw(st.text(alphabet="01", max_size=max_len // 2))
+    letters = list(MU.apply(y))
+    if letters:
+        for i in draw(st.lists(st.integers(0, len(letters) - 1), max_size=2)):
+            letters[i] = "1" if letters[i] == "0" else "0"
+        if draw(st.booleans()):
+            letters.pop()
     return "".join(letters)

@@ -115,6 +115,12 @@ class TestClassifyBinary:
         with pytest.raises(ValueError, match="not in the morphism's alphabet"):
             pw.classify_binary(pw.MU, start)
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_rejects_depth_below_one(self, depth):
+        # at depth 0 the empty prefix would pass for Thue-Morse
+        with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+            pw.classify_binary(pw.parse_morphism("0->01;1->0"), "0", depth=depth)
+
     def test_rejects_wrong_alphabet(self):
         with pytest.raises(ValueError):
             pw.classify_binary(pw.parse_morphism("0->012;1->1;2->2"), "0")

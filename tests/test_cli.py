@@ -9,6 +9,7 @@ import pytest
 
 from plcword import cli
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 TM_RULES = "0->01;1->10"
 HONEST_CERT = {
     "p": 2, "kind": "square3", "k": 0, "q": 3, "period": "01",
@@ -296,6 +297,14 @@ class TestOtherCommands:
     def test_classify(self, capsys, tm_file):
         doc = run_json(capsys, "classify", "--morphism", tm_file, "--start", "0", "--depth", "256")
         assert doc["result"]["tag"] == "P1"
+
+    @pytest.mark.parametrize("name", ["zeros.mrf", "ones_power.mrf"])
+    def test_classify_pattern_search_ignores_large_depth(self, capsys, name):
+        # a P2 confirmation reads as far as its pattern needs, not --depth
+        path = str(GOLDEN_INPUTS / name)
+        small = run_json(capsys, "classify", "--morphism", path, "--start", "0", "--depth", "64")
+        large = run_json(capsys, "classify", "--morphism", path, "--start", "0", "--depth", str(1 << 21))
+        assert large["result"] == small["result"]
 
     def test_stdin_digits(self, capsys, monkeypatch):
         import io

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import plcword as pw
-from helpers import overlap_free_census
+from helpers import naive_mu_preimage, near_mu_images, overlap_free_census
+from plcword.tm import _mu_preimage
 
 TM16 = "0110100110010110"
 
@@ -39,6 +42,16 @@ class TestDecompose:
                 # the chosen core is the largest one
                 best = (len(word) - len(d.u) - len(d.v)) // 2
                 assert len(d.y) == best
+
+
+class TestMuPreimage:
+    @given(st.text(alphabet="01", max_size=40))
+    def test_random_words_match_pair_oracle(self, word):
+        assert _mu_preimage(word) == naive_mu_preimage(word)
+
+    @given(near_mu_images())
+    def test_near_images_match_pair_oracle(self, word):
+        assert _mu_preimage(word) == naive_mu_preimage(word)
 
 
 class TestMuPreservesOverlapFree:

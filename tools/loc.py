@@ -1,5 +1,7 @@
 """Count the source lines of ``src/plcword``: all lines, and code lines.
 
+Prints one line per module, then the total.
+
 Code lines leave out blank lines, comment-only lines and the lines of
 docstrings (the string that opens a module, class or function body).
 Run from anywhere: ``python tools/loc.py``.
@@ -43,6 +45,7 @@ def main() -> None:
     lines = code = 0
     for path in sorted(SOURCE.glob("*.py")):
         file_lines, file_code = count(path.read_text(encoding="utf-8"))
+        print(f"  {path.name}: {file_lines:,} lines, {file_code:,} code lines")
         lines += file_lines
         code += file_code
     print(f"src/plcword: {lines:,} lines, {code:,} code lines")
