@@ -129,17 +129,19 @@ class Classification:
 def _find_in_stream(stream: WordStream, target: str) -> int:
     """Index of the first occurrence of target in the stream.
 
-    Reads 4 * len(target) + 64 letters first and doubles the prefix up to
-    ``_SEARCH_CAP``; the first occurrence does not depend on where the
-    search starts.  The callers only search for patterns certain to occur.
+    Reads 4 * len(target) + 64 letters first and doubles the prefix until
+    it reaches ``_SEARCH_CAP``, which is always the last prefix read; the
+    first occurrence does not depend on where the search starts.  The
+    callers only search for patterns certain to occur.
     """
     size = 4 * len(target) + 64
-    while size <= _SEARCH_CAP:
-        idx = stream.prefix(size).find(target)
+    while True:
+        idx = stream.prefix(min(size, _SEARCH_CAP)).find(target)
         if idx >= 0:
             return idx
+        if size >= _SEARCH_CAP:
+            raise AssertionError(f"pattern {target!r} not found within {_SEARCH_CAP} letters")
         size *= 2
-    raise AssertionError(f"pattern {target!r} not found within {_SEARCH_CAP} letters")
 
 
 def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classification:

@@ -98,6 +98,15 @@ class TestClassifyBinary:
         assert result.tag == "P2"
         assert result.case_label == "CaseII-1^n"
 
+    def test_search_reads_up_to_the_cap(self):
+        # the first 111 sits at 901 * 902 - 1 = 812,701: past the last
+        # doubling of the 76-letter start (622,592) but below the cap
+        m = pw.parse_morphism("0->" + "0" * 901 + "1;1->11")
+        result = pw.classify_binary(m, "0")
+        assert result.tag == "P2"
+        assert result.case_label == "CaseII-1^n"
+        assert pw.fixed_point_prefix(m, "0", 812_704).find("111") == 812_701
+
     def test_case_three_finds_overlap(self):
         m = pw.parse_morphism("0->011;1->10")
         result = pw.classify_binary(m, "0", depth=512)
