@@ -88,12 +88,17 @@ def gcd_bound(word: str, base: int) -> GcdBound:
     full = base**m - 1
     d = math.gcd(full, value)
     q_max = full // d
+    return GcdBound(m, d, q_max, _least_ell(q_max, base))
+
+
+def _least_ell(x: int, base: int) -> int:
+    """The least ell >= 1 with base**ell >= x."""
     ell = 1
     power = base
-    while power < q_max:
+    while power < x:
         power *= base
         ell += 1
-    return GcdBound(m, d, q_max, ell)
+    return ell
 
 
 def dist_nearest_int(x: Fraction) -> Fraction:

@@ -45,13 +45,13 @@ def _cmd_detect(args) -> dict:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
     word = digits_io(args.digits, args.p)
     if args.kind == "overlap":
-        occs = repetitions.find_overlaps(word, args.limit)
-        return {"overlaps": [o.to_json() for o in occs]}
-    if args.kind == "complement":
+        occs = repetitions.find_overlaps(word)
+    elif args.kind == "complement":
         occs = repetitions.find_complement_squares(word, args.p, args.min_frac)
     else:
         occs = repetitions.find_fractional_squares(word, args.min_frac, args.squares)
-    return {"occurrences": [o.to_json() for o in occs[: args.limit]]}
+    key = "overlaps" if args.kind == "overlap" else "occurrences"
+    return {key: [o.to_json() for o in occs[: args.limit]]}
 
 
 def _cmd_cert(args) -> dict:
@@ -68,7 +68,10 @@ def _cmd_cert(args) -> dict:
 def _cmd_verify(args) -> dict:
     word = digits_io(args.digits, args.p)
     with open(args.cert, "r", encoding="ascii") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError("certificate file is nested too deeply") from None
     if isinstance(payload, dict) and "result" in payload:
         payload = payload["result"]  # a whole ``cert --out`` document
     if not isinstance(payload, dict):
@@ -227,25 +230,25 @@ def main(argv=None) -> int:
         print(f"error: base {base} out of range (2..10)", file=sys.stderr)
         return 2
     try:
-        result = args.func(args)
+        document = {
+            "schema": SCHEMA_VERSION,
+            "command": args.command,
+            "config": _resolved_config(args),
+            "result": args.func(args),
+        }
+        # an int past the int-to-str digit limit fails here, as ValueError
+        text = json.dumps(document, indent=2)
+        if args.out:
+            with open(args.out, "w", encoding="ascii") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    document = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        "config": _resolved_config(args),
-        "result": result,
-    }
-    text = json.dumps(document, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

@@ -4,17 +4,19 @@ Detects overlaps u X u X u (u a letter), fractional squares v^r v[:f], the
 complement variant v v~ v[:f] over a digit alphabet, and longest
 overlap-free subwords.
 
-Fractional and complement squares are read off one kernel,
+Every finder, and the certificate scan in ``witness``, reads one kernel,
 ``_period_runs``: for each shift m it yields the maximal runs [a, b) of
 positions j with word[j + m] == image[j].  With image = word these are the
 runs of period m, and a position pos in such a run starts a window of
-period m and length t = m + b - pos.  With image the digitwise complement
-of word, a position pos with pos + m < b starts v v~ v[:f] with
-v = word[pos:pos+m] and f = min(m, b - pos - m).  ``_run_squares`` and
-``_run_complement_squares`` turn one run into its occurrences, in
-position order; the finders flatten them, and the certificate scan in
-``witness`` reads each run only as far as its scores reach the target.
-The finders cost O(n^2) letter comparisons plus the letters they output.
+period m and length t = m + b - pos; when pos < b - m that window holds
+the overlap of period m at pos, which ends at pos + 2m.  With image the
+digitwise complement of word, a position pos with pos + m < b starts
+v v~ v[:f] with v = word[pos:pos+m] and f = min(m, b - pos - m).
+``_run_squares`` and ``_run_complement_squares`` turn one run into its
+occurrences, in position order; the finders flatten them by position,
+and the certificate scan reads each run only as far as its scores reach
+the target.  The finders cost O(n^2) letter comparisons plus the letters
+they output.
 
 Along a run the windows of consecutive positions are rotations of each
 other, and gcd(p**m - 1, value(v)) is invariant under rotation of v
@@ -147,26 +149,16 @@ class SubwordSpan(NamedTuple):
     length: int
 
 
-def find_overlaps(word: str, limit: int | None = None) -> list[OverlapOccurrence]:
-    """All overlaps, in left-to-right then shortest-X order, up to ``limit``.
+def find_overlaps(word: str) -> list[OverlapOccurrence]:
+    """All overlaps, in left-to-right then shortest-X order.
 
-    Empty result iff the word is overlap-free.  A limit must be positive.
+    Empty result iff the word is overlap-free.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    n = len(word)
-    found: list[OverlapOccurrence] = []
-    for pos in range(n):
-        max_xlen = (n - pos - 3) // 2
-        for xlen in range(max_xlen + 1):
-            u = word[pos]
-            if word[pos + xlen + 1] != u or word[pos + 2 * xlen + 2] != u:
-                continue
-            if word[pos + 1 : pos + xlen + 1] == word[pos + xlen + 2 : pos + 2 * xlen + 2]:
-                found.append(OverlapOccurrence(pos, u, word[pos + 1 : pos + xlen + 1]))
-                if limit is not None and len(found) >= limit:
-                    return found
-    return found
+    by_position: list[list[OverlapOccurrence]] = [[] for _ in word]
+    for m, a, b in _period_runs(word, word):
+        for pos in range(a, b - m):
+            by_position[pos].append(OverlapOccurrence(pos, word[pos], word[pos + 1 : pos + m]))
+    return [occ for occs in by_position for occ in occs]
 
 
 # Periods below this are scanned one pass each: for short periods that is
@@ -382,25 +374,19 @@ def find_complement_squares(
 def longest_overlap_free_subword(word: str) -> SubwordSpan:
     """The leftmost longest contiguous overlap-free subword.
 
-    Sliding window: overlap-freeness is closed under taking subwords, so the
-    right end moves once per letter and the left end only ever advances past
-    the start of an overlap that would end at the new letter.
+    A window is overlap-free iff no overlap lies inside it, so it is enough
+    to know the last start of an overlap ending at each index: one
+    left-to-right pass moves the left end past it when the right end
+    reaches that index.
     """
-    n = len(word)
-    if n == 0:
-        return SubwordSpan(0, 0)
-    best_pos, best_len = 0, 1
+    last_start = [-1] * len(word)
+    for m, a, b in _period_runs(word, word):
+        for pos in range(a, b - m):
+            last_start[pos + 2 * m] = max(last_start[pos + 2 * m], pos)
+    best_pos, best_len = 0, 0
     left = 0
-    for right in range(n):
-        cut = -1
-        for m in range(1, (right - left) // 2 + 1):
-            start = right - 2 * m
-            if start < left:
-                break
-            if all(word[j] == word[j + m] for j in range(start, right - m + 1)):
-                cut = max(cut, start)
-        if cut >= 0:
-            left = cut + 1
+    for right, start in enumerate(last_start):
+        left = max(left, start + 1)
         if right - left + 1 > best_len:
             best_pos, best_len = left, right - left + 1
     return SubwordSpan(best_pos, best_len)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .arithmetic import format_rational, gcd_bound, word_value
+from .arithmetic import _least_ell, format_rational, gcd_bound, word_value
 from .repetitions import (
     ComplementOccurrence,
     RepetitionOccurrence,
@@ -294,10 +294,7 @@ def _ell_floor(period: str, base: int) -> int:
     base**ell >= q > c or ell >= 1 = c.  The bound is rotation-invariant.
     """
     c = (period + period).find(period, 1)
-    ell = 1
-    while base**ell <= c:
-        ell += 1
-    return ell
+    return _least_ell(c + 1, base)
 
 
 def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertificate]:

@@ -216,13 +216,22 @@ class TestCertifyPipeline:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: certificate field {field!r} is ")
 
-    @pytest.mark.parametrize("payload", [[1, 2], {"certificates": 3}, {"result": "x"}])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"certificates": 3},
+            {"result": "x"},
+            # raw text: too deep for json.load, which raises RecursionError
+            pytest.param("[" * 200000 + "]" * 200000, id="deeply_nested"),
+        ],
+    )
     def test_malformed_certificate_file_is_validation_error(
         self, capsys, tmp_path, digits_file, payload
     ):
         path = digits_file("0101010")
         cert_path = tmp_path / "bad.json"
-        cert_path.write_text(json.dumps(payload))
+        cert_path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, _, err = run_cli(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))
         assert code == 2
         assert err.startswith("error: ")
@@ -235,6 +244,12 @@ class TestCertifyPipeline:
         )
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["command"] == "detect"
+
+    def test_unwritable_out_path_is_validation_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "doc.json"
+        code, out, err = run_cli(capsys, "--out", str(out_path), "cf", "--x", "7/5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_single_certificate_file(self, capsys, tmp_path, digits_file):
         path = digits_file("0101010")
@@ -269,6 +284,12 @@ class TestOtherCommands:
         doc = run_json(capsys, "orbit", "--x", "1/3", "--p", "2", "--K", "2")
         assert doc["result"]["max"]["a"] == 3
         assert {"k": 0, "i": 1, "a": 3} in doc["result"]["rows"]
+
+    def test_result_past_the_int_string_limit_is_validation_error(self, capsys):
+        # a0 = 10**4400 has more digits than json.dumps may print
+        code, out, err = run_cli(capsys, "cf", "--x", "1e4400")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["cf"], ["orbit", "--K", "2"]])
     def test_zero_denominator_is_validation_error(self, capsys, command):

@@ -35,14 +35,6 @@ class TestFindOverlaps:
     def test_cube_of_a_letter(self):
         assert pw.find_overlaps("000")[0] == pw.OverlapOccurrence(0, "0", "")
 
-    def test_limit(self):
-        assert len(pw.find_overlaps("0000000", 2)) == 2
-
-    @pytest.mark.parametrize("limit", [0, -1])
-    def test_non_positive_limit_rejected(self, limit):
-        with pytest.raises(ValueError, match="limit"):
-            pw.find_overlaps("0000000", limit)
-
     def test_matches_oracle_exhaustively(self):
         for word in binary_words_upto(12):
             got = [(o.position, o.u, o.x) for o in pw.find_overlaps(word)]
@@ -64,7 +56,7 @@ class TestIsOverlapFree:
 
     def test_fast_path_equals_naive_path(self):
         for word in binary_words_upto(12):
-            assert pw.is_overlap_free(word) == (pw.find_overlaps(word, 1) == [])
+            assert pw.is_overlap_free(word) == (pw.find_overlaps(word) == [])
 
     def test_first_overlap_is_genuine(self):
         rng = random.Random(11)
@@ -161,7 +153,7 @@ class TestFractionalSquares:
             word = random_digit_word(rng, 32, 2)
             for occ in pw.find_fractional_squares(word, 1, 3):
                 window = word[occ.position : occ.position + occ.window_len]
-                assert pw.find_overlaps(window, 1)
+                assert pw.find_overlaps(window)
 
     @given(st.text(alphabet="012", max_size=40), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -209,6 +201,14 @@ class TestRunKernelOracles:
         got = pw.find_complement_squares(word, base, min_frac)
         assert got == naive_complement_squares(word, base, min_frac)
 
+    @given(digit_words())
+    @settings(max_examples=200, deadline=None)
+    def test_overlap_finders_match_naive_scans(self, word_base):
+        word, _ = word_base
+        got = [(o.position, o.u, o.x) for o in pw.find_overlaps(word)]
+        assert got == naive_find_overlaps(word)
+        assert tuple(pw.longest_overlap_free_subword(word)) == naive_longest_overlap_free(word)
+
     def test_complement_scan_rejects_non_digits(self):
         with pytest.raises(ValueError):
             pw.find_complement_squares("0120", 2, 1)
@@ -226,6 +226,6 @@ class TestLongestOverlapFreeSubword:
 
     def test_matches_exhaustive_window_scan(self):
         rng = random.Random(29)
-        for _ in range(80):
-            word = random_digit_word(rng, rng.randint(1, 24), 2)
+        seeded = [random_digit_word(rng, rng.randint(1, 24), 2) for _ in range(80)]
+        for word in binary_words_upto(10) + seeded:
             assert tuple(pw.longest_overlap_free_subword(word)) == naive_longest_overlap_free(word)
