@@ -8,6 +8,7 @@ denominator); nothing here touches floating point.  Rationals serialise as
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -147,12 +148,22 @@ def format_rational(x: Fraction) -> str:
     return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into an exact rational.
+# what Fraction(str) reads in Python 3.11; \d is any Unicode decimal digit
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?=\.?\d)(\d+(_\d+)*)?(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?(e[-+]?\d+(_\d+)*)?)\s*", re.I
+)
 
-    Malformed text and a zero denominator both raise ValueError.
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "num/den", an integer or a decimal such as "-1.5e3" exactly.
+
+    Reads what ``Fraction(str)`` reads, through ``Decimal``, whose parts may
+    pass the int-to-str digit limit.  Bad text or a zero denominator raise ValueError.
     """
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"rational {text!r} has a zero denominator") from None
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"invalid rational {text!r}")
+    num, _, den = text.partition("/")
+    denominator = int(Decimal(den or 1))
+    if not denominator:
+        raise ValueError(f"rational {text!r} has a zero denominator")
+    return Fraction(Decimal(num)) / denominator

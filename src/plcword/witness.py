@@ -24,7 +24,8 @@ and the bound out again from p, kind and the window.  Re-reading the window
 from a prefix is then enough, because the inequality holds for every real
 number whose expansion extends that prefix.  ``brute_force_min`` is the
 independent cross-check: an exact interval minimisation of the functional
-over small q and k that knows nothing about periods or gcds.
+over small q and k that knows nothing about periods or gcds.  It searches
+with integers; ``enclosure`` is the exact range at one pair.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "certificate_from_occurrence",
     "verify_certificate",
     "brute_force_min",
+    "enclosure",
     "scan_and_certify",
     "complement_to_gcd_occurrence",
 ]
@@ -220,22 +222,30 @@ class BruteForceResult:
 
 def _dist_interval(a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
     """Exact range of ||y|| for y in [a/den, b/den], a <= b."""
-    if b - a >= den:
-        return Fraction(0), Fraction(1, 2)
-    ra = a % den
-    rb = b % den
-    if ra == 0 or rb == 0 or a // den != b // den:
-        lo = Fraction(0)
-    else:
-        lo = Fraction(min(ra, den - rb), den)
-    # a half-integer in the interval means some odd multiple of den in [2a, 2b]
-    c = -((-2 * a) // den)
-    f = (2 * b) // den
-    if f >= c and (c % 2 == 1 or f > c):
-        hi = Fraction(1, 2)
-    else:
-        hi = Fraction(max(min(ra, den - ra), min(rb, den - rb)), den)
-    return lo, hi
+    ra, rb = a % den, b % den
+    # an integer in [a, b] / den gives lo = 0, and a half-integer hi = 1/2
+    lo = Fraction(0 if a // den != b // den else min(ra, den - rb), den)
+    if (den - 2 * ra) % (2 * den) <= 2 * (b - a):  # an odd multiple of den in [2a, 2b]
+        return lo, Fraction(1, 2)
+    return lo, Fraction(max(min(ra, den - ra), min(rb, den - rb)), den)
+
+
+def enclosure(prefix: str, base: int, q: int, k: int) -> tuple[Fraction, Fraction]:
+    """Exact range (lo, hi) of q * ||q p^k x|| over every x extending prefix.
+
+    Such x fill [v, v + 1] / p**len with v the prefix's value, so q p^k x
+    fills [q v, q v + q] / p**(len-k) and only v mod p**(len-k) matters;
+    once k >= len that interval has length >= 1 and the range is [0, q/2].
+    """
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    value = word_value(prefix, base) if prefix else 0
+    den = base ** max(len(prefix) - k, 0)
+    a = q * (value % den)
+    lo, hi = _dist_interval(a, a + q, den)
+    return q * lo, q * hi
 
 
 def brute_force_min(
@@ -243,9 +253,10 @@ def brute_force_min(
 ) -> BruteForceResult:
     """Exact interval minimisation of q * ||q p^k x|| over small q and k.
 
-    x is only known to lie in [prefix_value, prefix_value + p**-len], so
-    each candidate gets a closed enclosure; the reported pair minimises the
-    upper bound, ties broken by smaller k then smaller q.
+    Reports the pair whose ``enclosure`` has the least upper end, ties
+    broken by smaller k then smaller q.  With den = p**(len-k) and r = q v
+    mod den, that end is q H / (2 den) for an integer H (``_dist_interval``
+    on [r, r + q]), so only the winning pair becomes a ``Fraction``.
     """
     if max_q < 1:
         raise ValueError("max_q must be at least 1")
@@ -253,24 +264,27 @@ def brute_force_min(
         raise ValueError("max_k must be non-negative")
     length = len(prefix)
     value = word_value(prefix, base) if prefix else 0
-    best: tuple[Fraction, int, int] | None = None
-    best_lo = Fraction(0)
-    for k in range(max_k + 1):
-        if k >= length:
-            shifted, den = 0, 1
-        else:
-            den = base ** (length - k)
-            shifted = value % den
+    best_top, best_den, best_q, best_k = 1, 0, 0, 0  # q H / den = +infinity
+    # every k >= len gives the same enclosures, and ties keep the smaller k
+    for k in range(min(max_k, length) + 1):
+        den = base ** (length - k)
+        shifted, twice = value % den, 2 * den
+        top, arg, r = max_q * den + 1, 0, 0
         for q in range(1, max_q + 1):
-            a = q * shifted
-            lo, hi = _dist_interval(a, a + q, den)
-            q_lo, q_hi = q * lo, q * hi
-            key = (q_hi, k, q)
-            if best is None or key < best:
-                best = key
-                best_lo = q_lo
-    assert best is not None
-    return BruteForceResult(q=best[2], k=best[1], value_lo=best_lo, value_hi=best[0])
+            r = (r + shifted) % den
+            if (den - 2 * r) % twice <= 2 * q:
+                qh = q * den
+            else:  # conditionals, not min and max calls: this is the hot loop
+                rb = (r + q) % den
+                ra = r if 2 * r < den else den - r
+                rb = rb if 2 * rb < den else den - rb
+                qh = 2 * q * (ra if ra > rb else rb)
+            if qh < top:
+                top, arg = qh, q
+        if top * best_den < best_top * den:
+            best_top, best_den, best_q, best_k = top, den, arg, k
+    lo, hi = enclosure(prefix, base, best_q, best_k)
+    return BruteForceResult(q=best_q, k=best_k, value_lo=lo, value_hi=hi)
 
 
 def complement_to_gcd_occurrence(

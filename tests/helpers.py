@@ -8,6 +8,7 @@ paths under test.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from plcword import (
     MU,
+    BruteForceResult,
     ComplementOccurrence,
     Morphism,
     OverlapOccurrence,
@@ -22,6 +24,7 @@ from plcword import (
     certificate_from_occurrence,
     complement,
     complement_to_gcd_occurrence,
+    word_value,
 )
 
 
@@ -174,6 +177,57 @@ def naive_scan_and_certify(prefix: str, base: int, target_s: int) -> list:
     return sorted(seen.values(), key=lambda c: (-c.s, c.k, c.occurrence.period, c.kind))
 
 
+def _naive_dist_interval(a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
+    """Exact range of ||y|| for y in [a/den, b/den], a <= b."""
+    if b - a >= den:
+        return Fraction(0), Fraction(1, 2)
+    ra = a % den
+    rb = b % den
+    if ra == 0 or rb == 0 or a // den != b // den:
+        lo = Fraction(0)
+    else:
+        lo = Fraction(min(ra, den - rb), den)
+    # a half-integer in the interval means some odd multiple of den in [2a, 2b]
+    c = -((-2 * a) // den)
+    f = (2 * b) // den
+    if f >= c and (c % 2 == 1 or f > c):
+        hi = Fraction(1, 2)
+    else:
+        hi = Fraction(max(min(ra, den - ra), min(rb, den - rb)), den)
+    return lo, hi
+
+
+def naive_brute_force_min(
+    prefix: str, base: int, max_q: int, max_k: int
+) -> BruteForceResult:
+    """Oracle for ``brute_force_min``: one ``Fraction`` enclosure per
+    candidate (q, k), minimised over the key (upper end, k, q)."""
+    if max_q < 1:
+        raise ValueError("max_q must be at least 1")
+    if max_k < 0:
+        raise ValueError("max_k must be non-negative")
+    length = len(prefix)
+    value = word_value(prefix, base) if prefix else 0
+    best: tuple[Fraction, int, int] | None = None
+    best_lo = Fraction(0)
+    for k in range(max_k + 1):
+        if k >= length:
+            shifted, den = 0, 1
+        else:
+            den = base ** (length - k)
+            shifted = value % den
+        for q in range(1, max_q + 1):
+            a = q * shifted
+            lo, hi = _naive_dist_interval(a, a + q, den)
+            q_lo, q_hi = q * lo, q * hi
+            key = (q_hi, k, q)
+            if best is None or key < best:
+                best = key
+                best_lo = q_lo
+    assert best is not None
+    return BruteForceResult(q=best[2], k=best[1], value_lo=best_lo, value_hi=best[0])
+
+
 def naive_longest_overlap_free(word: str) -> tuple[int, int]:
     """Exhaustive window scan for the leftmost longest overlap-free subword."""
     n = len(word)
@@ -310,10 +364,10 @@ def random_digit_word(rng: random.Random, length: int, base: int) -> str:
 
 
 @st.composite
-def digit_words(draw, max_len: int = 40):
-    """(word, base) over bases 2, 3, 5 and 10: uniform random digits, or a
-    random period of length 1-6 repeated and cut to the drawn length."""
-    base = draw(st.sampled_from((2, 3, 5, 10)))
+def digit_words(draw, max_len: int = 40, bases=(2, 3, 5, 10)):
+    """(word, base) over ``bases``: uniform random digits, or a random
+    period of length 1-6 repeated and cut to the drawn length."""
+    base = draw(st.sampled_from(bases))
     digit = st.integers(0, base - 1).map(str)
     length = draw(st.integers(0, max_len))
     if draw(st.booleans()):

@@ -1,8 +1,10 @@
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
@@ -173,7 +175,34 @@ class TestRationalFormat:
         assert pw.parse_rational("3/8") == Fraction(3, 8)
         assert pw.parse_rational("-7") == -7
 
-    @pytest.mark.parametrize("text", ["1/0", "-3/0", "x", ""])
+    @pytest.mark.parametrize(
+        "text", ["1/0", "-3/0", "0/0_0", "x", "", "inf", "nan", "1__0", "1/-2", "1 /2", "1e5/2"]
+    )
     def test_malformed_raises_value_error(self, text):
         with pytest.raises(ValueError):
             pw.parse_rational(text)
+
+    @given(
+        st.lists(
+            st.sampled_from(["0", "1", "7", "12", "\u0663", "_", "/", ".", "e", "E", "-", "+", " "]),
+            max_size=8,
+        ).map("".join)
+    )
+    @settings(max_examples=500)
+    def test_reads_what_fraction_reads(self, text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            if "_" in text and sys.version_info < (3, 11):
+                return  # Fraction reads digit groups from Python 3.11 on
+            with pytest.raises(ValueError):
+                pw.parse_rational(text)
+        else:
+            assert pw.parse_rational(text) == want
+
+    def test_parts_past_the_int_string_limit(self):
+        num, den = 7 * 10**4400 + 1, 3**9500
+        text = f"-{Decimal(num)}/{Decimal(den)}"
+        assert pw.parse_rational(text) == Fraction(-num, den)
+        # 0.55...5 with n fives is 5 (10**n - 1) / (9 10**n)
+        assert pw.parse_rational(f"0.{'5' * 4400}e1") == Fraction(5 * (10**4400 - 1), 9 * 10**4399)

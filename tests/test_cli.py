@@ -291,6 +291,21 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_rational_past_the_int_string_limit(self, capsys):
+        # F_n / F_(n+1) with more than 4,400 digits in both parts
+        a, b = 0, 1
+        for _ in range(21100):
+            a, b = b, a + b
+        assert len(str(Decimal(a))) > 4400
+        doc = run_json(capsys, "cf", "--x", f"{Decimal(a)}/{Decimal(b)}")
+        assert doc["result"]["a0"] == 0
+        # the convergents h/k of the quotients end at x in lowest terms
+        h, h_prev, k, k_prev = 0, 1, 1, 0
+        for quotient in doc["result"]["quotients"]:
+            h, h_prev = quotient * h + h_prev, h
+            k, k_prev = quotient * k + k_prev, k
+        assert (h, k) == (a, b)
+
     @pytest.mark.parametrize("command", [["cf"], ["orbit", "--K", "2"]])
     def test_zero_denominator_is_validation_error(self, capsys, command):
         code, _, err = run_cli(capsys, *command, "--x", "1/0")

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
-from helpers import digit_words, naive_scan_and_certify, random_digit_word
+from helpers import (
+    digit_words,
+    naive_brute_force_min,
+    naive_scan_and_certify,
+    random_digit_word,
+)
 from plcword.witness import _ell_floor
 
 
@@ -140,6 +145,97 @@ class TestBruteForceMin:
         assert (res.q, res.k) == (1, 0)
 
 
+class TestBruteForceMatchesNaive:
+    @given(
+        digit_words(bases=range(2, 11)).flatmap(
+            lambda wb: st.tuples(
+                st.just(wb), st.integers(1, 80), st.integers(0, len(wb[0]) + 5)
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_result(self, case):
+        (word, base), max_q, max_k = case
+        got = pw.brute_force_min(word, base, max_q, max_k)
+        assert got == naive_brute_force_min(word, base, max_q, max_k)
+
+    @pytest.mark.parametrize(
+        "prefix, base, max_q, max_k",
+        [
+            ("", 2, 5, 0),  # empty prefix: every candidate spans [0, q/2]
+            ("", 7, 3, 4),
+            ("0110", 2, 6, 9),  # K past the prefix length
+            ("21", 3, 30, 4),
+            ("101", 2, 8, 0),  # Q >= p**(len-k) at k = 0 already
+            ("4031", 5, 700, 2),  # Q >= p**(len-k) from k = 0 on
+            ("0000000", 2, 20, 3),  # all-zero prefixes
+            ("000", 10, 40, 1),
+            ("1111111", 2, 20, 3),  # all-(p-1) prefixes
+            ("22222", 3, 50, 2),
+            ("99999", 10, 80, 6),
+            ("00000000", 2, 4, 2),  # the tie of test_tie_breaking_prefers_small_k_then_q
+        ],
+    )
+    def test_edge_cases(self, prefix, base, max_q, max_k):
+        got = pw.brute_force_min(prefix, base, max_q, max_k)
+        assert got == naive_brute_force_min(prefix, base, max_q, max_k)
+
+    @pytest.mark.parametrize("max_q, max_k", [(0, 1), (-3, 0), (1, -1)])
+    def test_out_of_range_search_is_rejected(self, max_q, max_k):
+        with pytest.raises(ValueError):
+            pw.brute_force_min("0101", 2, max_q, max_k)
+
+
+class TestEnclosure:
+    @given(
+        digit_words(max_len=24).flatmap(
+            lambda wb: st.tuples(
+                st.just(wb),
+                st.integers(1, 60),
+                st.integers(0, len(wb[0]) + 3),
+                st.lists(st.integers(0, wb[1] - 1), max_size=12),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_contains_every_continuation(self, case):
+        (word, base), q, k, tail = case
+        lo, hi = pw.enclosure(word, base, q, k)
+        assert 0 <= lo <= hi <= Fraction(q, 2)
+        for digits in ("".join(map(str, tail)), str(base - 1) * 12, ""):
+            x = pw.prefix_value(word + digits, base)
+            assert lo <= pw.quality(q, k, base, x) <= hi
+        # the greatest continuation, all (p-1)s forever, is the right end
+        if word:
+            x = pw.prefix_value(word, base)
+            assert lo <= pw.quality(q, k, base, x + Fraction(1, base ** len(word))) <= hi
+
+    @given(
+        digit_words(max_len=24).flatmap(
+            lambda wb: st.tuples(st.just(wb), st.integers(1, 60), st.integers(0, 8))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_brute_force_reports_the_enclosure_of_its_pair(self, case):
+        (word, base), max_q, max_k = case
+        res = pw.brute_force_min(word, base, max_q, max_k)
+        assert (res.value_lo, res.value_hi) == pw.enclosure(word, base, res.q, res.k)
+
+    def test_known_values(self):
+        # x in [85, 86] / 256, so 3x in [255, 258] / 256 holds 1 and reaches 2/256
+        assert pw.enclosure("01010101", 2, 3, 0) == (0, Fraction(3 * 2, 256))
+        # x in [1, 2] / 8, so 3x in [3, 6] / 8 holds 1/2 and is nearest 1 at 6/8
+        assert pw.enclosure("001", 2, 3, 0) == (Fraction(3 * 2, 8), Fraction(3, 2))
+        # k at or past the prefix length: the whole range [0, q/2]
+        assert pw.enclosure("0101", 2, 3, 4) == (0, Fraction(3, 2))
+        assert pw.enclosure("", 5, 2, 0) == (0, 1)
+
+    @pytest.mark.parametrize("q, k", [(0, 0), (-1, 2), (1, -1)])
+    def test_out_of_range_pair_is_rejected(self, q, k):
+        with pytest.raises(ValueError):
+            pw.enclosure("0101", 2, q, k)
+
+
 def maximal_occurrence(word, pos, v):
     """The period-|v| occurrence at pos, extended as far as it literally goes."""
     m = len(v)
@@ -177,6 +273,32 @@ class TestSoundness:
             extended = word[: cert.k + cert.window_len] + random_digit_word(rng, slack, 2)
             res = pw.brute_force_min(extended, 2, cert.q, cert.k)
             assert res.value_hi < cert.bound
+
+
+class TestEndToEndSoundness:
+    """Every certificate the scan emits holds: at exactly its (q, k), the
+    enclosure over all continuations of the window stays below the bound."""
+
+    N = 200
+    WORDS = {
+        "random2": random_digit_word(random.Random(47), N, 2),
+        "random3": random_digit_word(random.Random(53), N, 3),
+        "fibonacci": pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", N),
+        "thue-morse": pw.FixedPointStream(pw.MU, "0").prefix(N),
+    }
+
+    @pytest.mark.parametrize(
+        "name, base",
+        [(name, base) for name in WORDS for base in (2, 3) if name != "random3" or base == 3],
+    )
+    def test_every_certificate_is_below_its_bound(self, name, base):
+        word = self.WORDS[name]
+        certs = pw.scan_and_certify(word, base, 1)
+        # Thue-Morse is overlap-free, and no window in it reaches s = 1
+        assert bool(certs) == (name != "thue-morse")
+        for cert in certs:
+            _, hi = pw.enclosure(word[: cert.k + cert.window_len], base, cert.q, cert.k)
+            assert hi < cert.bound, cert.to_json()
 
 
 class TestScanAndCertify:
