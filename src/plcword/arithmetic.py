@@ -93,9 +93,20 @@ def gcd_bound(word: str, base: int) -> GcdBound:
 
 
 def _least_ell(x: int, base: int) -> int:
-    """The least ell >= 1 with base**ell >= x."""
-    ell = 1
-    power = base
+    """The least ell >= 1 with base**ell >= x, for x >= 1.
+
+    With bits = (x - 1).bit_length(), 2**k >= x exactly when k >= bits,
+    which answers a base 2**t at once.  For another base, base**ell >= x >
+    2**(bits - 1) and log2(base) < B / 64, with B = (base**64).bit_length(),
+    give ell > 64 * (bits - 1) / B; exact products step up from that floor,
+    at most about 64 * bits / B**2 + 2 of them.
+    """
+    bits = (x - 1).bit_length()
+    t = base.bit_length() - 1
+    if base == 1 << t:
+        return -(-bits // t) or 1
+    ell = max(1, 64 * (bits - 1) // (base**64).bit_length())
+    power = base**ell
     while power < x:
         power *= base
         ell += 1

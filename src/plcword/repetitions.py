@@ -18,6 +18,16 @@ and the certificate scan reads each run only as far as its scores reach
 the target.  The finders cost O(n^2) letter comparisons plus the letters
 they output.
 
+The kernel is numpy: it compares a block of shifts at once, finds the run
+ends with ``np.diff`` and drops the runs shorter than a cut b - a >=
+min_len(m) before any of them reaches Python.  Each caller passes the
+weakest length every run it uses must have: m + 1 for overlaps (an
+overlap of period m needs m + 1 positions), (r - 1) m + f for r whole
+copies and an f-letter tail, m + f for complement squares, and in the
+certificate scan the least length whose best window can still reach the
+target score.  So a rejected run costs a few array operations, not a
+Python iteration.
+
 Along a run the windows of consecutive positions are rotations of each
 other, and gcd(p**m - 1, value(v)) is invariant under rotation of v
 (rotating multiplies the value by a power of p modulo p**m - 1), so one
@@ -35,15 +45,20 @@ Lorentz (1984) and Kolpakov and Kucherov (1999).  There are about n ln 2
 samples per doubling block of periods, so an overlap-free word costs
 O(n log^2 n); short periods keep a direct pass each, and the search stops
 at the first block with an overlap.  It must stay result-identical to the
-per-period scan kept as an oracle in the tests.
+per-period scan kept as an oracle in the tests.  The direct passes stay
+their own loop, ``_first_long_run``, rather than the kernel with the cut
+m + 1: they stop at the first period with an overlap, where a kernel
+block compares every shift it holds (all 31 below ``_DIRECT_PERIODS`` for
+words of up to about 2,000 letters).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .words import complement
 
@@ -155,7 +170,7 @@ def find_overlaps(word: str) -> list[OverlapOccurrence]:
     Empty result iff the word is overlap-free.
     """
     by_position: list[list[OverlapOccurrence]] = [[] for _ in word]
-    for m, a, b in _period_runs(word, word):
+    for m, a, b in _period_runs(word, word, lambda m: m + 1):
         for pos in range(a, b - m):
             by_position[pos].append(OverlapOccurrence(pos, word[pos], word[pos + 1 : pos + m]))
     return [occ for occs in by_position for occ in occs]
@@ -287,24 +302,45 @@ def is_overlap_free(word: str) -> bool:
     return first_overlap(word) is None
 
 
-def _period_runs(word: str, image: str) -> Iterator[tuple[int, int, int]]:
-    """Maximal runs (m, a, b) with word[j + m] == image[j] for a <= j < b.
+# Cells (shift, position) compared per block of shifts in ``_period_runs``:
+# every benchmark word fits one block, and draining the runs of a 4,096-letter
+# Thue-Morse word with no cut peaks near 2 MB (tracemalloc).
+_BLOCK_CELLS = 1 << 16
+# Padding for ``_period_runs``: it and _NO_LETTER + 1 lie above every code point.
+_NO_LETTER = 0xFFFFFFFE
 
-    Shifts m run from 1 to len(word) - 1 and, within one shift, runs come
-    in increasing order of a.  ``image`` has the length of ``word``.
+
+def _period_runs(
+    word: str, image: str, min_len: Callable[[np.ndarray], np.ndarray | int]
+) -> Iterator[tuple[int, int, int]]:
+    """Maximal runs (m, a, b) with word[j + m] == image[j] for a <= j < b
+    and b - a >= min_len(m).
+
+    ``min_len`` maps an array of shifts to the least run length kept (an
+    array, or one int for all shifts).  Shifts m run from 1 to len(word) - 1
+    and, within one shift, runs come in increasing order of a.  ``image``
+    has the length of ``word``.
+
+    A block of shifts is one boolean array, row m holding at column c
+    whether word[m + c - 1] == image[c - 1].  It compares a strided view of
+    the word against the image, padded with two letters no word has, so
+    columns 0 and n + 1 and the cells past the word's end are False; the
+    runs start and end where a row changes value.
     """
     n = len(word)
-    for m in range(1, n):
-        start = -1
-        for j in range(n - m):
-            if word[j + m] == image[j]:
-                if start < 0:
-                    start = j
-            elif start >= 0:
-                yield m, start, j
-                start = -1
-        if start >= 0:
-            yield m, start, n - m
+    target = np.full(n + 2, _NO_LETTER, dtype=np.uint32)
+    target[1:-1] = np.frombuffer(image.encode("utf-32-le"), dtype=np.uint32)
+    padded = np.full(2 * n + 2, _NO_LETTER + 1, dtype=np.uint32)
+    padded[1 : n + 1] = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
+    rows = sliding_window_view(padded, n + 2)  # row m is padded[m : m + n + 2]
+    step = max(1, _BLOCK_CELLS // (n + 2))
+    for lo in range(1, n, step):
+        ends = np.flatnonzero(np.diff(rows[lo : lo + step] == target, axis=1))
+        shift, a = np.divmod(ends[0::2], n + 1)
+        b = ends[1::2] - shift * (n + 1)
+        shift += lo
+        keep = b - a >= min_len(shift)
+        yield from zip(shift[keep].tolist(), a[keep].tolist(), b[keep].tolist())
 
 
 def _run_squares(
@@ -348,7 +384,8 @@ def find_fractional_squares(
         raise ValueError("squares must be 2 or 3")
     min_repeats = 2 if squares == 3 else 1
     by_position: list[list[RepetitionOccurrence]] = [[] for _ in word]
-    for m, a, b in _period_runs(word, word):
+    # min_repeats copies and min_frac more letters fit from a on
+    for m, a, b in _period_runs(word, word, lambda m: (min_repeats - 1) * m + min_frac):
         for occ in _run_squares(word, m, a, b, min_repeats):
             if occ.frac_len >= min_frac:
                 by_position[occ.position].append(occ)
@@ -363,7 +400,7 @@ def find_complement_squares(
         raise ValueError("min_frac must be at least 1")
     image = complement(word, base)
     by_position: list[list[ComplementOccurrence]] = [[] for _ in word]
-    for m, a, b in _period_runs(word, image):
+    for m, a, b in _period_runs(word, image, lambda m: m + min_frac):
         for occ in _run_complement_squares(word, m, a, b):
             if occ.frac_len < min_frac:
                 break
@@ -380,7 +417,7 @@ def longest_overlap_free_subword(word: str) -> SubwordSpan:
     reaches that index.
     """
     last_start = [-1] * len(word)
-    for m, a, b in _period_runs(word, word):
+    for m, a, b in _period_runs(word, word, lambda m: m + 1):
         for pos in range(a, b - m):
             last_start[pos + 2 * m] = max(last_start[pos + 2 * m], pos)
     best_pos, best_len = 0, 0

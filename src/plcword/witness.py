@@ -42,7 +42,7 @@ from .repetitions import (
     _run_complement_squares,
     _run_squares,
 )
-from .words import complement
+from .words import _require_base, complement
 
 __all__ = [
     "PlcCertificate",
@@ -237,6 +237,7 @@ def enclosure(prefix: str, base: int, q: int, k: int) -> tuple[Fraction, Fractio
     fills [q v, q v + q] / p**(len-k) and only v mod p**(len-k) matters;
     once k >= len that interval has length >= 1 and the range is [0, q/2].
     """
+    _require_base(base)
     if q < 1:
         raise ValueError("q must be at least 1")
     if k < 0:
@@ -258,6 +259,7 @@ def brute_force_min(
     mod den, that end is q H / (2 den) for an integer H (``_dist_interval``
     on [r, r + q]), so only the winning pair becomes a ``Fraction``.
     """
+    _require_base(base)
     if max_q < 1:
         raise ValueError("max_q must be at least 1")
     if max_k < 0:
@@ -348,14 +350,17 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
             slack - 2 * _ell_floor(prefix[a : a + period_len], base) >= target_s
         )
 
-    for m, a, b in _period_runs(prefix, prefix):
-        # the window at pos = a has m + b - a letters
+    # the window at pos = a has m + b - a letters; the cut is may_reach's
+    # ell = 1 test, which the square3 test below implies for m >= 2 (a
+    # period of one letter has no fractional windows)
+    for m, a, b in _period_runs(prefix, prefix, lambda m: target_s + 2):
         if may_reach(b - a, a, m):
             certify_run(_run_squares(prefix, m, a, b, 1), KIND_GCD)
         if b - a - m >= target_s:
             certify_run(_run_squares(prefix, m, a, b, 2), KIND_SQUARE3)
 
-    for m, a, b in _period_runs(prefix, image):
+    # may_reach's ell = 1 test on its slack b - a - m
+    for m, a, b in _period_runs(prefix, image, lambda m: m + target_s + 2):
         if may_reach(min(m, b - a - m), a, 2 * m):
             occs = _run_complement_squares(prefix, m, a, b)
             certify_run((complement_to_gcd_occurrence(o, base) for o in occs), KIND_GCD)

@@ -42,6 +42,35 @@ def is_overlap_pattern(sub: str) -> bool:
     )
 
 
+def naive_period_runs(word: str, image: str):
+    """Every maximal run (m, a, b) with word[j + m] == image[j] for
+    a <= j < b, by shift then by a, from a letter-by-letter double loop;
+    ``repetitions._period_runs``' oracle before its length cut."""
+    n = len(word)
+    for m in range(1, n):
+        start = -1
+        for j in range(n - m):
+            if word[j + m] == image[j]:
+                if start < 0:
+                    start = j
+            elif start >= 0:
+                yield m, start, j
+                start = -1
+        if start >= 0:
+            yield m, start, n - m
+
+
+def naive_least_ell(x: int, base: int) -> int:
+    """The least ell >= 1 with base**ell >= x, one power at a time;
+    ``arithmetic._least_ell``'s oracle."""
+    ell = 1
+    power = base
+    while power < x:
+        power *= base
+        ell += 1
+    return ell
+
+
 def naive_find_overlaps(word: str) -> list[tuple[int, str, str]]:
     """All-substrings oracle, in (position, pattern length) order."""
     found = []

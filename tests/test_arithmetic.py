@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
-from helpers import random_digit_word
+from helpers import naive_least_ell, random_digit_word
+from plcword.arithmetic import _least_ell
 
 
 class TestWordValue:
@@ -113,6 +114,29 @@ class TestGcdBound:
             assert (base ** b.m - 1) % b.d == 0
             assert b.q_max <= base**b.ell
             assert b.ell == 1 or base ** (b.ell - 1) <= b.q_max
+
+
+class TestLeastEll:
+    @given(
+        st.integers(2, 10),
+        st.one_of(
+            st.integers(1, 2**64),
+            st.integers(1, 2**3000),
+            st.tuples(st.integers(0, 1500), st.integers(-1, 1)),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_naive(self, base, drawn):
+        # tuples (k, d) stand for x = base**k + d, the edges of each answer
+        x = max(1, base ** drawn[0] + drawn[1]) if isinstance(drawn, tuple) else drawn
+        assert _least_ell(x, base) == naive_least_ell(x, base)
+
+    @pytest.mark.parametrize("base", range(2, 11))
+    def test_powers_and_neighbours(self, base):
+        for k in range(0, 200):
+            for x in (base**k - 1, base**k, base**k + 1):
+                if x >= 1:
+                    assert _least_ell(x, base) == naive_least_ell(x, base)
 
 
 class TestDistNearestInt:

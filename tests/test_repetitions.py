@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
+from plcword.repetitions import _period_runs
 from helpers import (
     digit_words,
     literal_fractional_squares,
@@ -16,6 +18,7 @@ from helpers import (
     naive_fractional_squares,
     naive_is_overlap_free,
     naive_longest_overlap_free,
+    naive_period_runs,
     per_period_first_overlap,
     binary_words_upto,
     random_digit_word,
@@ -212,6 +215,58 @@ class TestRunKernelOracles:
     def test_complement_scan_rejects_non_digits(self):
         with pytest.raises(ValueError):
             pw.find_complement_squares("0120", 2, 1)
+
+
+# the cuts the callers of _period_runs pass, and one per-shift cut above them
+KERNEL_CUTS = {
+    "every run": lambda m: 1,
+    "scan, target 2": lambda m: 4,
+    "overlaps": lambda m: m + 1,
+    "complement scan, target 1": lambda m: m + 3,
+    "steep": lambda m: 2 * m + 1,
+}
+
+
+def expected_runs(word, image, cut):
+    return [(m, a, b) for m, a, b in naive_period_runs(word, image) if b - a >= cut(m)]
+
+
+class TestPeriodRunKernel:
+    @given(
+        digit_words(bases=range(2, 11)),
+        st.booleans(),
+        st.sampled_from(sorted(KERNEL_CUTS)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_runs(self, word_base, complemented, cut_name):
+        word, base = word_base
+        image = pw.complement(word, base) if complemented else word
+        cut = KERNEL_CUTS[cut_name]
+        got = list(_period_runs(word, image, cut))
+        assert got == expected_runs(word, image, cut)
+        assert all(type(x) is int for run in got for x in run)
+
+    @pytest.mark.parametrize("name", ["fibonacci", "zeros"])
+    @pytest.mark.parametrize("cut_name", ["every run", "overlaps"])
+    def test_words_longer_than_one_block(self, name, cut_name):
+        # 600 letters: about 108 shifts per block, so six blocks
+        word = {
+            "fibonacci": pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 600),
+            "zeros": "0" * 600,
+        }[name]
+        cut = KERNEL_CUTS[cut_name]
+        for image in (word, pw.complement(word, 2)):
+            assert list(_period_runs(word, image, cut)) == expected_runs(word, image, cut)
+
+    def test_thue_morse_peak_memory(self):
+        word = pw.thue_morse_prefix(2**12)
+        tracemalloc.start()
+        try:
+            deque(_period_runs(word, word, lambda m: 1), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestLongestOverlapFreeSubword:

@@ -185,6 +185,14 @@ class TestBruteForceMatchesNaive:
         with pytest.raises(ValueError):
             pw.brute_force_min("0101", 2, max_q, max_k)
 
+    @pytest.mark.parametrize("prefix", ["", "0"])
+    @pytest.mark.parametrize("base", [0, 1, 11])
+    def test_bad_base_is_rejected_for_any_prefix(self, prefix, base):
+        with pytest.raises(ValueError, match="base"):
+            pw.brute_force_min(prefix, base, 3, 0)
+        with pytest.raises(ValueError, match="base"):
+            pw.enclosure(prefix, base, 1, 0)
+
 
 class TestEnclosure:
     @given(

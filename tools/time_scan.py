@@ -1,0 +1,44 @@
+"""Time ``scan_and_certify`` on the words of the ROADMAP's baseline table.
+
+For a length n, prints one line per word: the seconds one
+``scan_and_certify(word, 2, 1)`` call takes and the number of certificates
+it returns.  The words are the first n letters of the Fibonacci word
+(0 -> 01, 1 -> 0), of the Thue-Morse word, and of a seeded random binary
+word (``random.Random(1)`` drawing ``choice("01")`` 2**14 times).
+
+Run from the repository root: ``PYTHONPATH=src python tools/time_scan.py --n 1024``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import time
+
+from plcword import fixed_point_prefix, parse_morphism, scan_and_certify, thue_morse_prefix
+
+TARGET_S = 1
+
+
+def words(n: int) -> dict[str, str]:
+    rng = random.Random(1)
+    return {
+        "fibonacci": fixed_point_prefix(parse_morphism("0->01;1->0"), "0", n),
+        "thue-morse": thue_morse_prefix(n),
+        "random": "".join(rng.choice("01") for _ in range(2**14))[:n],
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, required=True, help="word length")
+    n = parser.parse_args().n
+    for name, word in words(n).items():
+        start = time.perf_counter()
+        certs = scan_and_certify(word, 2, TARGET_S)
+        seconds = time.perf_counter() - start
+        print(f"{name:<10} n={n:<6} {seconds:8.3f} s  {len(certs):>7,} certificates")
+
+
+if __name__ == "__main__":
+    main()
