@@ -161,18 +161,26 @@ def format_rational(x: Fraction) -> str:
 
 # what Fraction(str) reads in Python 3.11; \d is any Unicode decimal digit
 _RATIONAL = re.compile(
-    r"\s*[-+]?(?=\.?\d)(\d+(_\d+)*)?(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?(e[-+]?\d+(_\d+)*)?)\s*", re.I
+    r"\s*[-+]?(?=\.?\d)(\d+(_\d+)*)?(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?(e(?P<exp>[-+]?\d+(_\d+)*))?)\s*",
+    re.I,
 )
+# The largest exponent magnitude read: 10**100000 takes about 8 ms, and
+# each tenfold step costs more than tenfold time.
+_MAX_EXPONENT = 100_000
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den", an integer or a decimal such as "-1.5e3" exactly.
 
     Reads what ``Fraction(str)`` reads, through ``Decimal``, whose parts may
-    pass the int-to-str digit limit.  Bad text or a zero denominator raise ValueError.
+    pass the int-to-str digit limit, except exponents past ``_MAX_EXPONENT``
+    in size.  Those, bad text and a zero denominator raise ValueError.
     """
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise ValueError(f"invalid rational {text!r}")
+    if match["exp"] and abs(int(match["exp"])) > _MAX_EXPONENT:
+        raise ValueError(f"rational {text!r} has an exponent past {_MAX_EXPONENT}")
     num, _, den = text.partition("/")
     denominator = int(Decimal(den or 1))
     if not denominator:

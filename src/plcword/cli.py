@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import sys
+from itertools import chain
 
 from . import arithmetic, cf, classify, repetitions, tm, witness, words
 
@@ -45,13 +46,13 @@ def _cmd_detect(args) -> dict:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
     word = digits_io(args.digits, args.p)
     if args.kind == "overlap":
-        occs = repetitions.find_overlaps(word)
+        occs = repetitions.find_overlaps(word, args.limit)
     elif args.kind == "complement":
-        occs = repetitions.find_complement_squares(word, args.p, args.min_frac)
+        occs = repetitions.find_complement_squares(word, args.p, args.min_frac, args.limit)
     else:
-        occs = repetitions.find_fractional_squares(word, args.min_frac, args.squares)
+        occs = repetitions.find_fractional_squares(word, args.min_frac, args.squares, args.limit)
     key = "overlaps" if args.kind == "overlap" else "occurrences"
-    return {key: [o.to_json() for o in occs[: args.limit]]}
+    return {key: [o.to_json() for o in occs]}
 
 
 def _cmd_cert(args) -> dict:
@@ -82,10 +83,13 @@ def _cmd_verify(args) -> dict:
     results = []
     for data in cert_list:
         cert = witness.PlcCertificate.from_json(data)
-        res = dataclasses.asdict(witness.verify_certificate(word, cert, args.p))
-        if res["guaranteed_bound"] is not None:
-            res["guaranteed_bound"] = arithmetic.format_rational(res["guaranteed_bound"])
-        results.append(res)
+        res = witness.verify_certificate(word, cert, args.p)
+        bound = witness._bound_text(cert.p, cert.s)  # res.guaranteed_bound, when set
+        results.append({
+            "combinatorial_ok": res.combinatorial_ok,
+            "window_checked": res.window_checked,
+            "guaranteed_bound": bound if res.combinatorial_ok else None,
+        })
     return {"results": results} if "certificates" in payload else results[0]
 
 
@@ -218,6 +222,53 @@ def _resolved_config(args) -> dict:
 
 
 @functools.cache
+def _encode(level: int):
+    """``encode`` of a C-backed encoder (it needs indent None) whose item
+    separator is a newline and ``level`` indents of two spaces."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _scalars(values) -> bool:
+    """No dict, list or tuple among the values; ``map`` and ``set`` read the
+    types in C."""
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, with the C encoder doing the work.
+
+    A dict or list of scalars is one encoder call a level deeper, its
+    brackets then moved onto their own lines.  So is a list of non-empty
+    dicts of scalars: its rows meet at "}" + separator + "{", which nothing
+    else can spell (an encoded string holds no raw newline, and a key starts
+    with a quote).  Anything else recurses.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _encode(0)(obj)
+    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    is_dict = isinstance(obj, dict)
+    if _scalars(obj.values() if is_dict else obj):
+        text = _encode(level + 1)(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if (
+        not is_dict
+        and all(issubclass(t, dict) for t in set(map(type, obj)))
+        and all(obj)
+        and _scalars(chain.from_iterable(map(dict.values, obj)))
+    ):
+        deeper = "\n" + "  " * (level + 2)
+        rows = _encode(level + 2)(obj)[2:-2]
+        rows = rows.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + rows + inner + "}" + outer + "]"
+    if is_dict:
+        # the key as json writes it: a str, or an int, float, bool or None as text
+        items = (_encode(0)({key: None})[1:-7] + ": " + _dumps(value, level + 1)
+                 for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    return "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in obj) + outer + "]"
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """``build_parser()`` once per process; parsing leaves it unchanged."""
     return build_parser()
@@ -237,7 +288,7 @@ def main(argv=None) -> int:
             "result": args.func(args),
         }
         # an int past the int-to-str digit limit fails here, as ValueError
-        text = json.dumps(document, indent=2)
+        text = _dumps(document)
         if args.out:
             with open(args.out, "w", encoding="ascii") as handle:
                 handle.write(text + "\n")

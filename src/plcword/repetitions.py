@@ -55,6 +55,7 @@ words of up to about 2,000 letters).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -164,16 +165,31 @@ class SubwordSpan(NamedTuple):
     length: int
 
 
-def find_overlaps(word: str) -> list[OverlapOccurrence]:
-    """All overlaps, in left-to-right then shortest-X order.
+def _first_by_position(
+    by_position: list[list[tuple[int, int, int]]], build: Callable, limit: int | None
+) -> list:
+    """build(pos, run) for the runs bucketed at each position in turn, the
+    first ``limit`` of them (all for None): only those become occurrences,
+    so a limited search holds one reference per occurrence, not its text."""
+    occs = (build(pos, run) for pos, runs in enumerate(by_position) for run in runs)
+    return list(islice(occs, limit))
+
+
+def find_overlaps(word: str, limit: int | None = None) -> list[OverlapOccurrence]:
+    """All overlaps (the first ``limit``), in left-to-right then shortest-X order.
 
     Empty result iff the word is overlap-free.
     """
-    by_position: list[list[OverlapOccurrence]] = [[] for _ in word]
-    for m, a, b in _period_runs(word, word, lambda m: m + 1):
+    by_position: list[list[tuple[int, int, int]]] = [[] for _ in word]
+    for run in _period_runs(word, word, lambda m: m + 1):
+        m, a, b = run
         for pos in range(a, b - m):
-            by_position[pos].append(OverlapOccurrence(pos, word[pos], word[pos + 1 : pos + m]))
-    return [occ for occs in by_position for occ in occs]
+            by_position[pos].append(run)
+
+    def build(pos: int, run: tuple[int, int, int]) -> OverlapOccurrence:
+        return OverlapOccurrence(pos, word[pos], word[pos + 1 : pos + run[0]])
+
+    return _first_by_position(by_position, build, limit)
 
 
 # Periods below this are scanned one pass each: for short periods that is
@@ -343,6 +359,12 @@ def _period_runs(
         yield from zip(shift[keep].tolist(), a[keep].tolist(), b[keep].tolist())
 
 
+def _square_positions(m: int, a: int, b: int, min_repeats: int) -> range:
+    """The positions of the run [a, b) of period m whose window holds
+    min_repeats whole copies and one more letter."""
+    return range(a, min(b - 1, b - (min_repeats - 1) * m) + 1)
+
+
 def _run_squares(
     word: str, m: int, a: int, b: int, min_repeats: int
 ) -> Iterator[RepetitionOccurrence]:
@@ -351,7 +373,7 @@ def _run_squares(
     The window at pos has t = m + b - pos letters, at least min_repeats
     whole copies; windows of whole copies only (t % m == 0) are skipped.
     """
-    for pos in range(a, min(b - 1, b - (min_repeats - 1) * m) + 1):
+    for pos in _square_positions(m, a, b, min_repeats):
         repeats, frac = divmod(m + b - pos, m)
         if frac:
             yield RepetitionOccurrence(pos, word[pos : pos + m], repeats, frac)
@@ -369,9 +391,9 @@ def _run_complement_squares(
 
 
 def find_fractional_squares(
-    word: str, min_frac: int, squares: int
+    word: str, min_frac: int, squares: int, limit: int | None = None
 ) -> list[RepetitionOccurrence]:
-    """Fractional square occurrences, ordered by position then period.
+    """Fractional square occurrences (the first ``limit``), by position then period.
 
     With squares=3 only occurrences with at least two whole copies are
     reported; with squares=2 one copy suffices.  For each (position, period)
@@ -383,29 +405,41 @@ def find_fractional_squares(
     if squares not in (2, 3):
         raise ValueError("squares must be 2 or 3")
     min_repeats = 2 if squares == 3 else 1
-    by_position: list[list[RepetitionOccurrence]] = [[] for _ in word]
+    by_position: list[list[tuple[int, int, int]]] = [[] for _ in word]
     # min_repeats copies and min_frac more letters fit from a on
-    for m, a, b in _period_runs(word, word, lambda m: (min_repeats - 1) * m + min_frac):
-        for occ in _run_squares(word, m, a, b, min_repeats):
-            if occ.frac_len >= min_frac:
-                by_position[occ.position].append(occ)
-    return [occ for occs in by_position for occ in occs]
+    for run in _period_runs(word, word, lambda m: (min_repeats - 1) * m + min_frac):
+        m, a, b = run
+        for pos in _square_positions(m, a, b, min_repeats):
+            if (m + b - pos) % m >= min_frac:
+                by_position[pos].append(run)
+
+    def build(pos: int, run: tuple[int, int, int]) -> RepetitionOccurrence:
+        m, _, b = run
+        return RepetitionOccurrence(pos, word[pos : pos + m], *divmod(m + b - pos, m))
+
+    return _first_by_position(by_position, build, limit)
 
 
 def find_complement_squares(
-    word: str, base: int, min_frac: int
+    word: str, base: int, min_frac: int, limit: int | None = None
 ) -> list[ComplementOccurrence]:
-    """Occurrences of v v~ v[:f] with f >= min_frac, by position then period."""
+    """Occurrences of v v~ v[:f] with f >= min_frac (the first ``limit``),
+    by position then period."""
     if min_frac < 1:
         raise ValueError("min_frac must be at least 1")
     image = complement(word, base)
-    by_position: list[list[ComplementOccurrence]] = [[] for _ in word]
-    for m, a, b in _period_runs(word, image, lambda m: m + min_frac):
-        for occ in _run_complement_squares(word, m, a, b):
-            if occ.frac_len < min_frac:
-                break
-            by_position[occ.position].append(occ)
-    return [occ for occs in by_position for occ in occs]
+    by_position: list[list[tuple[int, int, int]]] = [[] for _ in word]
+    for run in _period_runs(word, image, lambda m: m + min_frac):
+        m, a, b = run
+        # f = min(m, b - pos - m) reaches min_frac up to pos = b - m - min_frac
+        for pos in range(a, b - m - min_frac + 1 if m >= min_frac else a):
+            by_position[pos].append(run)
+
+    def build(pos: int, run: tuple[int, int, int]) -> ComplementOccurrence:
+        m, _, b = run
+        return ComplementOccurrence(pos, word[pos : pos + m], min(m, b - pos - m))
+
+    return _first_by_position(by_position, build, limit)
 
 
 def longest_overlap_free_subword(word: str) -> SubwordSpan:

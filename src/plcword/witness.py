@@ -31,10 +31,11 @@ with integers; ``enclosure`` is the exact range at one pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator
 
-from .arithmetic import _least_ell, format_rational, gcd_bound, word_value
+from .arithmetic import GcdBound, _least_ell, gcd_bound, word_value
 from .repetitions import (
     ComplementOccurrence,
     RepetitionOccurrence,
@@ -113,7 +114,7 @@ class PlcCertificate:
             "repeats": occ.whole_repeats,
             "frac_len": occ.frac_len,
             "s": self.s,
-            "bound": format_rational(self.bound),
+            "bound": _bound_text(self.p, self.s),
             "vacuous": self.vacuous,
         }
 
@@ -159,31 +160,47 @@ class PlcCertificate:
         return cert
 
 
-def _certificate(p: int, kind: str, occ: RepetitionOccurrence) -> PlcCertificate:
+def _bound_text(p: int, s: int) -> str:
+    """``format_rational(Fraction(p) ** -s)`` without the ``Fraction``:
+    p**-s is already in lowest terms."""
+    if s >= 0:
+        return "1/" + str(Decimal(p**s))
+    return str(Decimal(p**-s)) + "/1"
+
+
+def _certificate(
+    p: int, kind: str, occ: RepetitionOccurrence, bound: GcdBound | None = None
+) -> PlcCertificate:
     """The certificate of a window: q and s from its period, copies and tail.
 
     See the module docstring for the two score rules.  An all-zero period
     gives gcd = p**m - 1 and q = 1, the certificate of an exactly rational
-    tail.
+    tail.  ``bound``, when given, is the period's ``gcd_bound``.
     """
     if kind not in (KIND_SQUARE3, KIND_GCD):
         raise ValueError(f"unknown certificate kind {kind!r}")
     least = 2 if kind == KIND_SQUARE3 else 1
     if occ.whole_repeats < least:
         raise ValueError(f"{kind} certificates need repeats >= {least}")
-    bound = gcd_bound(occ.period_word, p)
+    if bound is None:
+        bound = gcd_bound(occ.period_word, p)
     m, r, f = occ.period, occ.whole_repeats, occ.frac_len
     s = m * (r - 2) + f if kind == KIND_SQUARE3 else m * (r - 1) + f - 2 * bound.ell
     return PlcCertificate(p, kind, occ, bound.q_max, s)
 
 
 def certificate_from_occurrence(
-    word: str, occ: RepetitionOccurrence, base: int, kind: str
+    word: str, occ: RepetitionOccurrence, base: int, kind: str,
+    bound: GcdBound | None = None,
 ) -> PlcCertificate:
-    """Build a certificate from a genuine occurrence (re-verified in word)."""
+    """Build a certificate from a genuine occurrence (re-verified in word).
+
+    ``bound``, if given, must be the ``gcd_bound`` of a rotation of the
+    period: gcd(p**m - 1, value(v)) is the same for every rotation of v.
+    """
     if not occ.matches(word):
         raise ValueError("occurrence does not match the word")
-    return _certificate(base, kind, occ)
+    return _certificate(base, kind, occ, bound)
 
 
 @dataclass(frozen=True)
@@ -334,12 +351,16 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     seen: dict[tuple, PlcCertificate] = {}
 
     def certify_run(occs: Iterator[RepetitionOccurrence], kind: str) -> None:
-        last = None
+        last = bound = None
         for occ in occs:
             if last is not None and last.s - last.window_len + occ.window_len < target_s:
                 return
             key = (kind, occ.position, occ.period_word, occ.whole_repeats, occ.frac_len)
-            last = seen.get(key) or certificate_from_occurrence(prefix, occ, base, kind)
+            last = seen.get(key)
+            if last is None:
+                # the periods along a run are rotations of each other
+                bound = bound or gcd_bound(occ.period_word, base)
+                last = certificate_from_occurrence(prefix, occ, base, kind, bound)
             if last.s < target_s:
                 return
             seen[key] = last

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import plcword as pw
 from helpers import naive_least_ell, random_digit_word
+from plcword import arithmetic
 from plcword.arithmetic import _least_ell
 
 
@@ -214,6 +216,12 @@ class TestRationalFormat:
     )
     @settings(max_examples=500)
     def test_reads_what_fraction_reads(self, text):
+        # Fraction would expand a long exponent for seconds before any answer
+        exponent = re.search(r"e([-+]?\d[\d_]*)\s*$", text, re.I)
+        if exponent and abs(int(exponent[1].replace("_", ""))) > arithmetic._MAX_EXPONENT:
+            with pytest.raises(ValueError):
+                pw.parse_rational(text)
+            return
         try:
             want = Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -230,3 +238,14 @@ class TestRationalFormat:
         assert pw.parse_rational(text) == Fraction(-num, den)
         # 0.55...5 with n fives is 5 (10**n - 1) / (9 10**n)
         assert pw.parse_rational(f"0.{'5' * 4400}e1") == Fraction(5 * (10**4400 - 1), 9 * 10**4399)
+
+    def test_exponent_limit(self):
+        limit = arithmetic._MAX_EXPONENT
+        assert pw.parse_rational(f"3e{limit}") == 3 * 10**limit
+        assert pw.parse_rational(f" -3E-{limit} ") == Fraction(-3, 10**limit)
+        assert pw.parse_rational(f"0.5e+{limit - 1}") == 5 * 10 ** (limit - 2)
+        # past the limit nothing is expanded: each text would take seconds to years
+        past = (f"1e{limit + 1}", f"0e-{limit + 1}", "0e-7777777", "1e121212121212", "1e1_000_000")
+        for text in past:
+            with pytest.raises(ValueError, match="exponent past"):
+                pw.parse_rational(text)

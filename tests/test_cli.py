@@ -6,6 +6,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcword import cli
 
@@ -113,6 +115,16 @@ class TestDetect:
         path = digits_file("0")
         code, _, err = run_cli(capsys, "detect", "--digits", path, "--p", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["square", "complement", "overlap"])
+    def test_limit_keeps_the_first_occurrences(self, capsys, digits_file, kind):
+        path = digits_file("0110" * 6 + "1001" * 6)
+        argv = ("detect", "--digits", path, "--kind", kind, "--squares", "2")
+        whole = run_json(capsys, *argv)["result"]
+        limited = run_json(capsys, *argv, "--limit", "3")["result"]
+        (key, found), = whole.items()
+        assert len(found) > 3
+        assert limited == {key: found[:3]}
 
 
 class TestCertifyPipeline:
@@ -393,3 +405,59 @@ class TestParserReuse:
             assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
             codes.append(code)
         assert codes == [0, 2, 2, 0, 0]
+
+
+# Strings that would break a careless splitter, and ints past the digit limit.
+TRICKY_TEXT = st.text(
+    st.sampled_from(
+        ["{", "}", "[", "]", ",", ":", '"', "\\", "\n", "\x00", "\x1f", " ", "a"]
+        + ["\u00e9", "\u2028", "\U0001f600"]
+    )
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-3, 3).map(lambda d: 10**4400 + d),
+    st.floats(),
+    st.text(),
+    TRICKY_TEXT,
+)
+KEYS = st.one_of(TRICKY_TEXT, st.text(), st.integers(), st.booleans(), st.none())
+# lists of non-empty dicts of scalars, like certificate lists
+ROWS = st.lists(st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4), min_size=1, max_size=4)
+JSON_VALUES = st.recursive(
+    SCALARS | ROWS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def dumped(dump, obj):
+    """The text, or ValueError for an int past the int-to-str digit limit."""
+    try:
+        return dump(obj)
+    except ValueError:
+        return ValueError
+
+
+class TestWriter:
+    @given(JSON_VALUES)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_json_dumps_indent_2(self, obj):
+        assert dumped(cli._dumps, obj) == dumped(lambda o: json.dumps(o, indent=2), obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {}, [], (), [{}], [[]], {"a": {}}, [{"a": {}}, {"b": 2}], [{"a": 1}, {}],
+            [{"a": "},\n      {"}, {"b": None}], ({"a": (1, 2)},), {"x": [{"a": True}], 3: [1.5]},
+            [{"k": 10**4400}], {"deep": [[[{"a": [1]}]]]},
+        ],
+    )
+    def test_edge_cases(self, obj):
+        assert dumped(cli._dumps, obj) == dumped(lambda o: json.dumps(o, indent=2), obj)

@@ -212,6 +212,38 @@ class TestRunKernelOracles:
         assert got == naive_find_overlaps(word)
         assert tuple(pw.longest_overlap_free_subword(word)) == naive_longest_overlap_free(word)
 
+    @given(digit_words(), st.integers(1, 3), st.sampled_from((2, 3)), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_limit_keeps_the_first_occurrences(self, word_base, min_frac, squares, limit):
+        word, base = word_base
+        assert pw.find_fractional_squares(word, min_frac, squares, limit) == (
+            pw.find_fractional_squares(word, min_frac, squares)[:limit]
+        )
+        assert pw.find_complement_squares(word, base, min_frac, limit) == (
+            pw.find_complement_squares(word, base, min_frac)[:limit]
+        )
+        assert pw.find_overlaps(word, limit) == pw.find_overlaps(word)[:limit]
+
+    @pytest.mark.parametrize(
+        "word, find",
+        [
+            ("0" * 600, lambda w: pw.find_fractional_squares(w, 1, 2, 5)),
+            ("0" * 600, lambda w: pw.find_overlaps(w, 5)),
+            ("01" * 300, lambda w: pw.find_complement_squares(w, 2, 1, 5)),
+        ],
+        ids=["squares", "overlaps", "complement"],
+    )
+    def test_limited_search_builds_only_what_it_returns(self, word, find):
+        # all occurrences with their period texts peak at 12-65 MB here
+        tracemalloc.start()
+        try:
+            found = find(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 5
+        assert peak < 4 * 2**20
+
     def test_complement_scan_rejects_non_digits(self):
         with pytest.raises(ValueError):
             pw.find_complement_squares("0120", 2, 1)

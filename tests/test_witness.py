@@ -13,7 +13,8 @@ from helpers import (
     naive_scan_and_certify,
     random_digit_word,
 )
-from plcword.witness import _ell_floor
+from plcword import witness
+from plcword.witness import _bound_text, _ell_floor
 
 
 def plant_repetition(rng, length, base=2):
@@ -365,6 +366,51 @@ class TestScanMatchesNaiveScan:
             want = naive_scan_and_certify(word, base, target)
             assert got == want, target
             assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+class TestOneGcdPerRun:
+    @pytest.mark.parametrize(
+        "word, base",
+        [
+            (pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 240), 2),
+            (random_digit_word(random.Random(3), 200, 2), 2),
+            ("0112" * 40, 3),
+        ],
+        ids=["fibonacci", "random-2", "periodic-3"],
+    )
+    def test_gcd_bound_once_per_run(self, monkeypatch, word, base):
+        want = naive_scan_and_certify(word, base, 1)
+        # each certified run is one _run_squares or _run_complement_squares call
+        runs, gcd_runs, built = [], [], []
+
+        def log_calls(name, log, entry):
+            original = getattr(witness, name)
+
+            def logged(*args):
+                log.append(entry())
+                return original(*args)
+
+            monkeypatch.setattr(witness, name, logged)
+
+        log_calls("_run_squares", runs, lambda: None)
+        log_calls("_run_complement_squares", runs, lambda: None)
+        log_calls("gcd_bound", gcd_runs, lambda: len(runs))
+        log_calls("certificate_from_occurrence", built, lambda: None)
+        assert pw.scan_and_certify(word, base, 1) == want
+        assert len(gcd_runs) == len(set(gcd_runs)) <= len(runs)
+        assert len(gcd_runs) < len(built)
+
+
+class TestBoundText:
+    @pytest.mark.parametrize("p", range(2, 11))
+    def test_equals_the_formatted_fraction(self, p):
+        for s in (-5000, -37, -1, 0, 1, 2, 37, 1500, 5000):
+            assert _bound_text(p, s) == pw.format_rational(Fraction(p) ** -s)
+
+    def test_square3_of_a_long_square(self):
+        occ = pw.RepetitionOccurrence(0, "01", 7500, 0)
+        cert = pw.certificate_from_occurrence("01" * 7500, occ, 2, "square3")
+        assert cert.to_json()["bound"] == pw.format_rational(cert.bound)
 
 
 class TestRotationInvariance:

@@ -1,10 +1,12 @@
 """Time ``scan_and_certify`` on the words of the ROADMAP's baseline table.
 
 For a length n, prints one line per word: the seconds one
-``scan_and_certify(word, 2, 1)`` call takes and the number of certificates
-it returns.  The words are the first n letters of the Fibonacci word
-(0 -> 01, 1 -> 0), of the Thue-Morse word, and of a seeded random binary
-word (``random.Random(1)`` drawing ``choice("01")`` 2**14 times).
+``scan_and_certify(word, 2, 1)`` call takes, the number of certificates
+it returns, and the seconds to encode them as ``cert`` prints its result
+(``PlcCertificate.to_json`` and the CLI's JSON writer).  The words are the
+first n letters of the Fibonacci word (0 -> 01, 1 -> 0), of the Thue-Morse
+word, and of a seeded random binary word (``random.Random(1)`` drawing
+``choice("01")`` 2**14 times).
 
 Run from the repository root: ``PYTHONPATH=src python tools/time_scan.py --n 1024``.
 """
@@ -16,6 +18,7 @@ import random
 import time
 
 from plcword import fixed_point_prefix, parse_morphism, scan_and_certify, thue_morse_prefix
+from plcword.cli import _dumps
 
 TARGET_S = 1
 
@@ -36,8 +39,13 @@ def main() -> None:
     for name, word in words(n).items():
         start = time.perf_counter()
         certs = scan_and_certify(word, 2, TARGET_S)
-        seconds = time.perf_counter() - start
-        print(f"{name:<10} n={n:<6} {seconds:8.3f} s  {len(certs):>7,} certificates")
+        scanned = time.perf_counter()
+        _dumps({"certificates": [c.to_json() for c in certs]})
+        encoded = time.perf_counter()
+        print(
+            f"{name:<10} n={n:<6} {scanned - start:8.3f} s  {len(certs):>7,} certificates"
+            f"  {encoded - scanned:7.3f} s to encode"
+        )
 
 
 if __name__ == "__main__":
