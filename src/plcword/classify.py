@@ -28,6 +28,7 @@ from .words import (
     Morphism,
     PeriodicStream,
     WordStream,
+    _reachable,
     mortal_letters,
 )
 
@@ -75,18 +76,6 @@ def grows_unboundedly(m: Morphism, letter: str) -> bool:
         len(reduced[c]) >= 2 and c in _reachable(reduced, reduced[c])
         for c in _reachable(reduced, letter)
     )
-
-
-def _reachable(images: dict[str, str], sources: str) -> set[str]:
-    """Letters reachable from the source letters in zero or more steps."""
-    seen = set(sources)
-    stack = list(seen)
-    while stack:
-        for b in images[stack.pop()]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return seen
 
 
 def growth_classes(m: Morphism) -> dict[str, str]:
@@ -159,6 +148,11 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
     least 1) bounds only the Case III overlap scan: P3 there needs an
     overlap in the first ``depth`` letters whose letter passes
     ``grows_unboundedly``, and P1 and UNRESOLVED are claims about them.
+
+    Case III compares the prefix with the Thue-Morse prefix of the same
+    start letter before it scans for overlaps.  The Thue-Morse word is
+    overlap-free (Thue, 1912), so a match would pass the scan anyway: P1
+    needs no scan, and the result is the one the scan-first order gives.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -210,17 +204,13 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
 
     # Case III: the other letter's image contains z, making phi primitive,
     # so both letters grow; search the generated prefix for an overlap.
-    stream = FixedPointStream(m, z)
-    prefix = stream.prefix(depth)
+    prefix = FixedPointStream(m, z).prefix(depth)
+    if prefix == thue_morse_prefix(depth, start=z):
+        matched = "M" if z == "0" else "M~"
+        return Classification(tag="P1", matched=matched, depth_checked=depth)
     occ = first_overlap(prefix)
-    if occ is not None:
-        letter = occ.u
-        if grows_unboundedly(m, letter):
-            return Classification(tag="P3", overlap=occ, growing_letter=letter)
-    else:
-        for name, head in (("M", "0"), ("M~", "1")):
-            if prefix == thue_morse_prefix(depth, start=head):
-                return Classification(tag="P1", matched=name, depth_checked=depth)
+    if occ is not None and grows_unboundedly(m, occ.u):
+        return Classification(tag="P3", overlap=occ, growing_letter=occ.u)
     return Classification(tag="UNRESOLVED", depth_checked=depth)
 
 

@@ -205,9 +205,17 @@ def certificate_from_occurrence(
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """Whether the window matched, and the certificate's p and s."""
+
     combinatorial_ok: bool
     window_checked: int
-    guaranteed_bound: Fraction | None
+    p: int
+    s: int
+
+    @property
+    def guaranteed_bound(self) -> Fraction | None:
+        """p**-s when the window matched, else None."""
+        return Fraction(self.p) ** -self.s if self.combinatorial_ok else None
 
 
 def verify_certificate(
@@ -226,7 +234,7 @@ def verify_certificate(
     if len(prefix) < required:
         raise PrefixTooShortError(required, len(prefix))
     ok = prefix[cert.k : required] == cert.occurrence.pattern()
-    return VerificationResult(ok, window, cert.bound if ok else None)
+    return VerificationResult(ok, window, cert.p, cert.s)
 
 
 @dataclass(frozen=True)

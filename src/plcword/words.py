@@ -192,6 +192,18 @@ def morphism_properties(m: Morphism) -> MorphismProperties:
     return MorphismProperties(k_uniform, expanding, primitive)
 
 
+def _reachable(images: dict[str, str], sources: str) -> set[str]:
+    """Letters reachable from the source letters in zero or more steps."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for b in images[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
 def complement(word: str, base: int) -> str:
     """Letterwise digit map b -> base-1-b; an involution on digit words."""
     _require_digits(word, base)
@@ -237,8 +249,15 @@ class FixedPointStream(WordStream):
 
     Writing the start image as ``a + x``, the word is the telescoping
     product ``a x phi(x) phi^2(x) ...``; each block is appended lazily.
-    Once phi fixes a block, every later block equals it, so the block is
-    doubled instead: a one-letter block then costs O(log n) applications.
+    The stream keeps the letter-power table ``phi^n(b)`` for the letters b
+    reachable from x, and nothing else: step n + 1 builds each
+    ``phi^(n+1)(b)`` as the join of ``phi^n`` over the letters of
+    ``phi(b)``, and the block ``phi^(n+1)(x)`` as the join over the letters
+    of x, so every step copies long strings instead of mapping letters.
+    An unreachable letter never enters the table, which keeps it within a
+    constant factor of the blocks.  Once phi fixes a block, every later
+    block equals it, so the block is doubled instead and the table dropped:
+    a one-letter block then costs O(log n) steps.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -247,15 +266,24 @@ class FixedPointStream(WordStream):
         super().__init__()
         self.morphism = morphism
         self.start = start
-        self._block = morphism.images[start][1:]
+        self._x = self._block = morphism.images[start][1:]
         self._cache = start + self._block
+        self._powers: dict[str, str] | None = {
+            b: b for b in _reachable(morphism.images, self._x)
+        }
 
     def _grow(self) -> str:
-        block = self.morphism.apply(self._block)
-        if block == self._block:
-            block += block
-        self._block = block
-        return block
+        powers = self._powers
+        if powers is not None:
+            images = self.morphism.images
+            powers = {b: "".join([powers[c] for c in images[b]]) for b in powers}
+            block = "".join([powers[b] for b in self._x])
+            if block != self._block:
+                self._powers, self._block = powers, block
+                return block
+            self._powers = None
+        self._block += self._block
+        return self._block
 
 
 class PeriodicStream(WordStream):

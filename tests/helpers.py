@@ -345,7 +345,7 @@ def per_block_fixed_point(m: Morphism, start: str, n: int) -> str:
 
 
 def random_morphism(rng: random.Random, max_letters: int = 3, max_image_len: int = 3):
-    letters = "012"[: rng.randint(1, max_letters)]
+    letters = "0123"[: rng.randint(1, max_letters)]
     images = {
         a: "".join(rng.choice(letters) for _ in range(rng.randint(0, max_image_len)))
         for a in letters

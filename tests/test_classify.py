@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import plcword as pw
-from helpers import iterated_lengths, random_morphism
+from helpers import iterated_lengths, prolongable_binary_morphisms, random_morphism
 
 
 class TestGrowsUnboundedly:
@@ -151,6 +151,35 @@ class TestClassifyBinary:
         for rules, start, expected in cases:
             result = pw.classify_binary(pw.parse_morphism(rules), start, depth=1024)
             assert result.tag == expected, (rules, start, result)
+
+
+class TestThueMorseBeforeScan:
+    # Case III settles P1 by comparison and skips the overlap scan; these
+    # run the scan it skips
+    DEPTHS = [*range(1, 65), 4096]
+
+    def test_p1_prefixes_carry_no_overlap(self):
+        p1 = 0
+        for m, start in prolongable_binary_morphisms():
+            for depth in self.DEPTHS:
+                if pw.classify_binary(m, start, depth).tag == "P1":
+                    p1 += 1
+                    assert pw.first_overlap(pw.fixed_point_prefix(m, start, depth)) is None
+        assert p1 >= 2 * len(self.DEPTHS)
+
+    @pytest.mark.parametrize("head", ["0", "1"])
+    def test_long_thue_morse_prefix_has_no_overlap(self, head):
+        assert pw.first_overlap(pw.thue_morse_prefix(1 << 16, head)) is None
+
+    def test_other_case_three_prefixes_are_not_thue_morse(self):
+        for m, start in prolongable_binary_morphisms():
+            other = "1" if start == "0" else "0"
+            if set(m.images[start][1:]) == {start} or start not in m.images[other]:
+                continue  # not Case III
+            for depth in self.DEPTHS:
+                if pw.classify_binary(m, start, depth).tag != "P1":
+                    prefix = pw.fixed_point_prefix(m, start, depth)
+                    assert prefix not in (pw.thue_morse_prefix(depth, "0"), pw.thue_morse_prefix(depth, "1"))
 
 
 class TestRestrictToSubalphabet:

@@ -105,6 +105,17 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError):
             pw.verify_certificate("0101010", self.cert(), 3)
 
+    def test_bound_is_built_only_when_read(self, monkeypatch):
+        word = "0010" * 40
+        certs = pw.scan_and_certify(word, 2, 1)
+        expected = [cert.bound for cert in certs]
+        def no_bound(cert):
+            raise AssertionError("verify built the bound")
+        monkeypatch.setattr(pw.PlcCertificate, "bound", property(no_bound))
+        results = [pw.verify_certificate(word, cert, 2) for cert in certs]
+        monkeypatch.undo()
+        assert certs and [res.guaranteed_bound for res in results] == expected
+
 
 class TestBruteForceMin:
     def test_near_one_third(self):

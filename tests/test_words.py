@@ -1,7 +1,8 @@
 import threading
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
@@ -10,6 +11,7 @@ from helpers import (
     naive_complement,
     per_block_fixed_point,
     prolongable_binary_morphisms,
+    random_morphism,
 )
 
 MU = pw.parse_morphism("0->01;1->10")
@@ -135,11 +137,14 @@ class TestFixedBlock:
     @pytest.mark.parametrize("rules,start", FIXED)
     def test_block_doubles_instead_of_reapplying(self, rules, start, monkeypatch):
         m = pw.parse_morphism(rules)
-        calls = []
+        calls, steps = [], []
         apply = pw.Morphism.apply
+        grow = pw.FixedPointStream._grow
         monkeypatch.setattr(pw.Morphism, "apply", lambda m, w: calls.append(w) or apply(m, w))
+        monkeypatch.setattr(pw.FixedPointStream, "_grow", lambda s: steps.append(1) or grow(s))
         prefix = pw.FixedPointStream(m, start).prefix(1 << 15)
         assert len(calls) <= 16
+        assert len(steps) <= 16
         monkeypatch.undo()
         assert prefix == per_block_fixed_point(m, start, 1 << 15)
 
@@ -150,6 +155,46 @@ class TestFixedBlock:
         for m, start in pairs:
             stream = pw.FixedPointStream(m, start)
             assert stream.prefix(n) == per_block_fixed_point(m, start, n), (m, start)
+
+
+class TestLetterPowers:
+    # an erased letter, a bounded cycle that is never fixed, a block fixed
+    # after two steps, a linearly growing block beside a 3**n letter, erased
+    # letters inside a growing block, a fixed block from start letter 1
+    SHAPES = [
+        ("0->012;1->;2->2", "0"), ("0->01;1->2;2->1", "0"),
+        ("0->01;1->2;2->33;3->3", "0"), ("0->01;1->12;2->2;3->333", "0"),
+        ("0->0120;1->3;2->;3->13", "0"), ("1->10;0->0", "1"),
+    ]
+
+    @pytest.mark.parametrize("rules,start", SHAPES)
+    def test_shapes_match_per_block_oracle(self, rules, start):
+        m = pw.parse_morphism(rules)
+        for n in (1, 2, 3, 17, 100, 1 << 12):
+            assert pw.FixedPointStream(m, start).prefix(n) == per_block_fixed_point(m, start, n)
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 3), st.integers(1, 1 << 12))
+    @settings(max_examples=300, deadline=None)
+    def test_random_morphisms_match_per_block_oracle(self, rng, index, n):
+        m = random_morphism(rng, max_letters=4)
+        letters = sorted(m.alphabet)
+        start = letters[index % len(letters)]
+        assume(pw.is_prolongable(m, start))
+        assert pw.FixedPointStream(m, start).prefix(n) == per_block_fixed_point(m, start, n)
+
+    def test_unreachable_letters_stay_out_of_the_table(self):
+        # the block after step n is 1 2^n, while phi^n(3) has 3**n letters
+        m = pw.parse_morphism("0->01;1->12;2->2;3->333")
+        stream = pw.FixedPointStream(m, "0")
+        tracemalloc.start()
+        try:
+            # one block per call at most, so a blow-up fails while still small
+            for n in range(1, (1 << 12) + 1):
+                stream.prefix(n)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20, n
+        finally:
+            tracemalloc.stop()
+        assert stream.prefix(1 << 12) == per_block_fixed_point(m, "0", 1 << 12)
 
 
 class TestMorphismProperties:
