@@ -28,7 +28,7 @@ from .words import (
     Morphism,
     PeriodicStream,
     WordStream,
-    _reachable,
+    _grows_unboundedly,
     mortal_letters,
 )
 
@@ -48,34 +48,11 @@ _SEARCH_CAP = 1 << 20
 _CONFIRM_POWER = 3
 
 
-def _reduced_images(m: Morphism) -> dict[str, str]:
-    """Images with mortal letters erased, for non-mortal letters only."""
-    mortal = mortal_letters(m)
-    return {
-        a: "".join(ch for ch in img if ch not in mortal)
-        for a, img in m.images.items()
-        if a not in mortal
-    }
-
-
 def grows_unboundedly(m: Morphism, letter: str) -> bool:
-    """True iff the lengths |phi^n(letter)| tend to infinity.
-
-    After erasing mortal letters every surviving letter keeps at least one
-    successor, so it reaches a cycle in the reduced letter graph.  If every
-    reachable cycle letter has a reduced image of length one, counts along
-    cycles are conserved and lengths stay bounded; a reachable cycle letter
-    with reduced image length >= 2 spawns an extra never-vanishing letter on
-    each traversal, forcing the lengths to infinity.
-    """
-    reduced = _reduced_images(m)
-    if letter not in reduced:
-        return False
-    # c is on a cycle iff it is reachable from its own image
-    return any(
-        len(reduced[c]) >= 2 and c in _reachable(reduced, reduced[c])
-        for c in _reachable(reduced, letter)
-    )
+    """True iff the lengths |phi^n(letter)| tend to infinity: some cycle
+    letter reachable from it, with mortal letters erased, has an image of
+    two or more letters."""
+    return _grows_unboundedly(m, letter)
 
 
 def growth_classes(m: Morphism) -> dict[str, str]:
@@ -204,8 +181,11 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
 
     # Case III: the other letter's image contains z, making phi primitive,
     # so both letters grow; search the generated prefix for an overlap.
+    # the first 64 letters decide most pairs, so the Thue-Morse streams
+    # only grow to ``depth`` for prefixes that may match
     prefix = FixedPointStream(m, z).prefix(depth)
-    if prefix == thue_morse_prefix(depth, start=z):
+    head = thue_morse_prefix(min(depth, 64), start=z)
+    if prefix.startswith(head) and prefix == thue_morse_prefix(depth, start=z):
         matched = "M" if z == "0" else "M~"
         return Classification(tag="P1", matched=matched, depth_checked=depth)
     occ = first_overlap(prefix)

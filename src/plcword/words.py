@@ -204,11 +204,46 @@ def _reachable(images: dict[str, str], sources: str) -> set[str]:
     return seen
 
 
+def _reduced_images(m: Morphism) -> dict[str, str]:
+    """Images with mortal letters erased, for non-mortal letters only."""
+    mortal = mortal_letters(m)
+    return {
+        a: "".join(ch for ch in img if ch not in mortal)
+        for a, img in m.images.items()
+        if a not in mortal
+    }
+
+
+def _grows_unboundedly(m: Morphism, word: str) -> bool:
+    """True iff the lengths |phi^n(word)| tend to infinity.
+
+    After erasing mortal letters every surviving letter keeps at least one
+    successor, so it reaches a cycle in the reduced letter graph.  If every
+    reachable cycle letter has a reduced image of length one, counts along
+    cycles are conserved and lengths stay bounded; a reachable cycle letter
+    with reduced image length >= 2 spawns an extra never-vanishing letter on
+    each traversal, forcing the lengths to infinity.
+    """
+    reduced = _reduced_images(m)
+    # c is on a cycle iff it is reachable from its own image
+    return any(
+        len(reduced[c]) >= 2 and c in _reachable(reduced, reduced[c])
+        for c in _reachable(reduced, "".join([a for a in word if a in reduced]))
+    )
+
+
 def complement(word: str, base: int) -> str:
     """Letterwise digit map b -> base-1-b; an involution on digit words."""
     _require_digits(word, base)
     digits = _DIGITS[:base]
     return word.translate(str.maketrans(digits, digits[::-1]))
+
+
+# FixedPointStream keeps its letter-power table while the table holds at
+# most this many times the letters of its block, plus a slack that keeps
+# small early tables
+_TABLE_FACTOR = 4
+_TABLE_SLACK = 64
 
 
 class WordStream:
@@ -249,15 +284,20 @@ class FixedPointStream(WordStream):
 
     Writing the start image as ``a + x``, the word is the telescoping
     product ``a x phi(x) phi^2(x) ...``; each block is appended lazily.
-    The stream keeps the letter-power table ``phi^n(b)`` for the letters b
-    reachable from x, and nothing else: step n + 1 builds each
+    While the block grows, the stream keeps the letter-power table
+    ``phi^n(b)`` for the letters b reachable from x: step n + 1 builds each
     ``phi^(n+1)(b)`` as the join of ``phi^n`` over the letters of
     ``phi(b)``, and the block ``phi^(n+1)(x)`` as the join over the letters
     of x, so every step copies long strings instead of mapping letters.
-    An unreachable letter never enters the table, which keeps it within a
-    constant factor of the blocks.  Once phi fixes a block, every later
-    block equals it, so the block is doubled instead and the table dropped:
-    a one-letter block then costs O(log n) steps.
+    A reachable letter can grow much faster than the block (with
+    1 -> 12, ..., 8 -> 89 and 9 -> 9^9, ``phi^n(9)`` outgrows ``phi^n(1)``
+    by a factor near 9^8), so the table is kept only while it pays: once
+    the next table would hold more than ``_TABLE_FACTOR`` times the letters
+    of the next block plus ``_TABLE_SLACK``, it is dropped, and later
+    blocks map the current one with ``Morphism.apply``.  A block of
+    bounded length gains nothing from the table and is mapped the same way
+    from the start; once phi fixes it, every later block equals it, so the
+    block is doubled instead: a one-letter block then costs O(log n) steps.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -268,22 +308,38 @@ class FixedPointStream(WordStream):
         self.start = start
         self._x = self._block = morphism.images[start][1:]
         self._cache = start + self._block
-        self._powers: dict[str, str] | None = {
-            b: b for b in _reachable(morphism.images, self._x)
-        }
+        self._powers: dict[str, str] | None = None
+        if _grows_unboundedly(morphism, self._x):
+            self._powers = {b: b for b in _reachable(morphism.images, self._x)}
+        self._fixed = False
 
     def _grow(self) -> str:
-        powers = self._powers
-        if powers is not None:
-            images = self.morphism.images
-            powers = {b: "".join([powers[c] for c in images[b]]) for b in powers}
-            block = "".join([powers[b] for b in self._x])
-            if block != self._block:
-                self._powers, self._block = powers, block
+        if self._powers is not None:
+            block = self._power_step()
+            if block is not None:
+                self._block = block
                 return block
-            self._powers = None
+        if not self._fixed:
+            block = self.morphism.apply(self._block)
+            self._fixed = block == self._block
+            self._block = block
+            if not self._fixed:
+                return block
         self._block += self._block
         return self._block
+
+    def _power_step(self) -> str | None:
+        """The next block from the table, or None, dropping the table, when
+        the next table would not pay."""
+        powers = self._powers
+        images = self.morphism.images
+        sizes = {b: sum([len(powers[c]) for c in images[b]]) for b in powers}
+        size = sum([sizes[b] for b in self._x])
+        if sum(sizes.values()) > _TABLE_FACTOR * size + _TABLE_SLACK:
+            self._powers = None
+            return None
+        self._powers = powers = {b: "".join([powers[c] for c in images[b]]) for b in powers}
+        return "".join([powers[b] for b in self._x])
 
 
 class PeriodicStream(WordStream):

@@ -1,8 +1,9 @@
+import random
 import threading
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
@@ -173,28 +174,57 @@ class TestLetterPowers:
         for n in (1, 2, 3, 17, 100, 1 << 12):
             assert pw.FixedPointStream(m, start).prefix(n) == per_block_fixed_point(m, start, n)
 
-    @given(st.randoms(use_true_random=False), st.integers(0, 3), st.integers(1, 1 << 12))
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.integers(1, 1 << 12))
     @settings(max_examples=300, deadline=None)
-    def test_random_morphisms_match_per_block_oracle(self, rng, index, n):
-        m = random_morphism(rng, max_letters=4)
-        letters = sorted(m.alphabet)
-        start = letters[index % len(letters)]
-        assume(pw.is_prolongable(m, start))
+    def test_random_morphisms_match_per_block_oracle(self, seed, index, n):
+        # draw until some letter is prolongable: filtering with assume
+        # rejects too many examples for hypothesis' health check
+        rng = random.Random(seed)
+        starts = []
+        while not starts:
+            m = random_morphism(rng, max_letters=4)
+            starts = [a for a in sorted(m.alphabet) if pw.is_prolongable(m, a)]
+        start = starts[index % len(starts)]
         assert pw.FixedPointStream(m, start).prefix(n) == per_block_fixed_point(m, start, n)
 
-    def test_unreachable_letters_stay_out_of_the_table(self):
-        # the block after step n is 1 2^n, while phi^n(3) has 3**n letters
-        m = pw.parse_morphism("0->01;1->12;2->2;3->333")
+    # a linearly growing block beside an unreachable 3**n letter, which
+    # stays out of the table, and a chain 1 -> 12, ..., 8 -> 89 whose last
+    # letter 9 -> 9^9 outgrows the block by a factor near 9^8 (about 3.5e9
+    # letters by the 1,000th), which makes the stream drop its table
+    MEMORY = [
+        ("0->01;1->12;2->2;3->333", 1 << 12, True),
+        (";".join(f"{a}->{a}{a + 1}" for a in range(9)) + ";9->999999999", 5000, False),
+    ]
+
+    @pytest.mark.parametrize("rules,n,keeps_table", MEMORY)
+    def test_table_stays_near_the_prefix(self, rules, n, keeps_table, monkeypatch):
+        m = pw.parse_morphism(rules)
         stream = pw.FixedPointStream(m, "0")
+        calls = []
+        apply = pw.Morphism.apply
+        monkeypatch.setattr(pw.Morphism, "apply", lambda m, w: calls.append(w) or apply(m, w))
         tracemalloc.start()
         try:
             # one block per call at most, so a blow-up fails while still small
-            for n in range(1, (1 << 12) + 1):
-                stream.prefix(n)
-                assert tracemalloc.get_traced_memory()[1] < 1 << 20, n
+            for k in range(1, n + 1):
+                stream.prefix(k)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20, k
         finally:
             tracemalloc.stop()
-        assert stream.prefix(1 << 12) == per_block_fixed_point(m, "0", 1 << 12)
+        monkeypatch.undo()
+        assert (calls == []) == keeps_table
+        assert stream.prefix(n) == per_block_fixed_point(m, "0", n)
+
+    @pytest.mark.parametrize("rules", ["0->01;1->2;2->1", "0->01;1->2;2->33;3->3"])
+    def test_bounded_block_builds_no_table(self, rules, monkeypatch):
+        m = pw.parse_morphism(rules)
+        steps = []
+        power_step = pw.FixedPointStream._power_step
+        monkeypatch.setattr(pw.FixedPointStream, "_power_step", lambda s: steps.append(1) or power_step(s))
+        prefix = pw.FixedPointStream(m, "0").prefix(1 << 10)
+        assert steps == []
+        monkeypatch.undo()
+        assert prefix == per_block_fixed_point(m, "0", 1 << 10)
 
 
 class TestMorphismProperties:

@@ -1,36 +1,27 @@
 """Time ``classify_binary`` on the binary census and fixed-point stream growth.
 
 For a depth N, prints the seconds that ``classify_binary(m, z, N)`` takes
-over the census of all 180 pairs (phi, z) over {0, 1} with images of length
-at most 3 and phi(z) = z + u, u non-empty: in all, then per outcome with
-the number of pairs (the P1 line is the Thue-Morse pairs).  Then it prints
+over the census of the perfbench ``structure`` workload (``binary_census``
+in ``perfbench/workloads.py``: all 180 pairs (phi, z) over {0, 1} with
+images of length at most 3 and phi(z) = z + u, u non-empty): in all, then
+per outcome with the number of pairs (the P1 line is the Thue-Morse pairs).  Then it prints
 the seconds a fresh ``FixedPointStream(...).prefix(N)`` takes for the
 Thue-Morse word (0 -> 01, 1 -> 10) and the Fibonacci word (0 -> 01, 1 -> 0).
 
-Run from the repository root: ``PYTHONPATH=src python tools/time_classify.py --depth 4096``.
+Run from the repository root:
+``PYTHONPATH=src:perfbench python tools/time_classify.py --depth 4096``.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import time
 from collections import defaultdict
 
 from plcword import FixedPointStream, Morphism, classify_binary, parse_morphism
+from workloads import binary_census
 
 STREAMS = {"thue-morse": "0->01;1->10", "fibonacci": "0->01;1->0"}
-
-
-def census() -> list[tuple[Morphism, str]]:
-    images = ["".join(w) for n in range(4) for w in itertools.product("01", repeat=n)]
-    pairs = []
-    for z in "01":
-        for a, b in itertools.product(images, repeat=2):
-            m = Morphism({"0": a, "1": b})
-            if len(m.images[z]) >= 2 and m.images[z][0] == z:
-                pairs.append((m, z))
-    return pairs
 
 
 def main() -> None:
@@ -39,7 +30,8 @@ def main() -> None:
     n = parser.parse_args().depth
     seconds: dict[str, float] = defaultdict(float)
     counts: dict[str, int] = defaultdict(int)
-    for m, z in census():
+    for images, z in binary_census():
+        m = Morphism(images)
         start = time.perf_counter()
         tag = classify_binary(m, z, n).tag
         seconds[tag] += time.perf_counter() - start
