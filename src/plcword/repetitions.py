@@ -11,12 +11,11 @@ runs of period m, and a position pos in such a run starts a window of
 period m and length t = m + b - pos; when pos < b - m that window holds
 the overlap of period m at pos, which ends at pos + 2m.  With image the
 digitwise complement of word, a position pos with pos + m < b starts
-v v~ v[:f] with v = word[pos:pos+m] and f = min(m, b - pos - m).
-``_run_squares`` and ``_run_complement_squares`` turn one run into its
-occurrences, in position order; the finders flatten them by position,
-and the certificate scan reads each run only as far as its scores reach
-the target.  The finders cost O(n^2) letter comparisons plus the letters
-they output.
+v v~ v[:f] with v = word[pos:pos+m] and f = min(m, b - pos - m).  So a
+run's occurrences are a range of positions with window lengths read off
+b: the finders bucket them by position, and the certificate scan keeps
+the range of each run whose scores reach the target.  The finders cost
+O(n^2) letter comparisons plus the letters they output.
 
 The kernel is numpy: it compares a block of shifts at once, finds the run
 ends with ``np.diff`` and drops the runs shorter than a cut b - a >=
@@ -49,7 +48,10 @@ per-period scan kept as an oracle in the tests.  The direct passes stay
 their own loop, ``_first_long_run``, rather than the kernel with the cut
 m + 1: they stop at the first period with an overlap, where a kernel
 block compares every shift it holds (all 31 below ``_DIRECT_PERIODS`` for
-words of up to about 2,000 letters).
+words of up to about 2,000 letters).  Each pass compares the whole word
+with its shift, one byte per position, and one ``bytes.find`` of m + 1
+true bytes stops at the first run long enough.  Letters are read as
+code points, as in ``_period_runs``, so any alphabet works.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def first_overlap(word: str) -> OverlapOccurrence | None:
     if n < 3:
         return None
     top = (n - 1) // 2
-    letters = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    letters = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
     for m in range(1, min(top, _DIRECT_PERIODS - 1) + 1):
         i = _first_long_run(letters, m)
         if i >= 0:
@@ -230,17 +232,9 @@ def first_overlap(word: str) -> OverlapOccurrence | None:
 
 def _first_long_run(letters: np.ndarray, m: int) -> int:
     """Start of the first run of at least m+1 positions i with
-    letters[i] == letters[i+m], or -1."""
+    letters[i] == letters[i+m], or -1: one byte per comparison, one find."""
     n = len(letters)
-    eq = letters[: n - m] == letters[m:]
-    padded = np.empty(len(eq) + 2, dtype=bool)
-    padded[0] = padded[-1] = False
-    padded[1:-1] = eq
-    delta = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1)
-    hits = np.flatnonzero(ends - starts >= m + 1)
-    return int(starts[hits[0]]) if hits.size else -1
+    return (letters[: n - m] == letters[m:]).tobytes().find(b"\x01" * (m + 1))
 
 
 class _ClassLadder:
@@ -359,37 +353,6 @@ def _period_runs(
         yield from zip(shift[keep].tolist(), a[keep].tolist(), b[keep].tolist())
 
 
-def _square_positions(m: int, a: int, b: int, min_repeats: int) -> range:
-    """The positions of the run [a, b) of period m whose window holds
-    min_repeats whole copies and one more letter."""
-    return range(a, min(b - 1, b - (min_repeats - 1) * m) + 1)
-
-
-def _run_squares(
-    word: str, m: int, a: int, b: int, min_repeats: int
-) -> Iterator[RepetitionOccurrence]:
-    """The occurrences of period m along the run [a, b), by position.
-
-    The window at pos has t = m + b - pos letters, at least min_repeats
-    whole copies; windows of whole copies only (t % m == 0) are skipped.
-    """
-    for pos in _square_positions(m, a, b, min_repeats):
-        repeats, frac = divmod(m + b - pos, m)
-        if frac:
-            yield RepetitionOccurrence(pos, word[pos : pos + m], repeats, frac)
-
-
-def _run_complement_squares(
-    word: str, m: int, a: int, b: int
-) -> Iterator[ComplementOccurrence]:
-    """The occurrences v v~ v[:f] along the complement run [a, b), by position.
-
-    f = min(m, b - pos - m) is at least 1 and never rises along the run.
-    """
-    for pos in range(a, b - m):
-        yield ComplementOccurrence(pos, word[pos : pos + m], min(m, b - pos - m))
-
-
 def find_fractional_squares(
     word: str, min_frac: int, squares: int, limit: int | None = None
 ) -> list[RepetitionOccurrence]:
@@ -409,7 +372,8 @@ def find_fractional_squares(
     # min_repeats copies and min_frac more letters fit from a on
     for run in _period_runs(word, word, lambda m: (min_repeats - 1) * m + min_frac):
         m, a, b = run
-        for pos in _square_positions(m, a, b, min_repeats):
+        # the window at pos has m + b - pos letters
+        for pos in range(a, b - max(1, (min_repeats - 1) * m) + 1):
             if (m + b - pos) % m >= min_frac:
                 by_position[pos].append(run)
 

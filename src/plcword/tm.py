@@ -70,13 +70,17 @@ def decompose(x: str) -> Decomposition:
     Ties are broken by the smallest |u|.  Words containing an overlap are
     rejected: the factorisation is only guaranteed without overlaps.
     """
+    _require_overlap_free(x)
+    return _factorise(x)
+
+
+def _require_overlap_free(x: str) -> None:
     if not x:
         raise ValueError("word must be non-empty")
     if set(x) - {"0", "1"}:
         raise ValueError("word must be over the alphabet {0, 1}")
     if not is_overlap_free(x):
         raise ValueError("word contains an overlap")
-    return _factorise(x)
 
 
 def _factorise(x: str) -> Decomposition:
@@ -136,16 +140,16 @@ def extract_tm_prefix(x: str) -> DecompositionChain:
     Factorises to depth max(0, floor(log2(K+4)) - 2) for K = |x|, stopping
     early only when the core would empty, which can happen only once the
     core has at most 4 letters; either way 2**depth >= (K + 4) / 8.
+    Rejects, at every length, the words ``decompose`` rejects.
     """
-    if not x:
-        raise ValueError("word must be non-empty")
+    # Only x is checked: mu(y) is a factor of x, and mu preserves
+    # overlap-freeness both ways, so every deeper core is overlap-free.
+    _require_overlap_free(x)
     target_depth = max(0, (len(x) + 4).bit_length() - 3)
     levels: list[tuple[str, str]] = []
     core = x
     while len(levels) < target_depth:
-        # Only x is checked: mu(y) is a factor of x, and mu preserves
-        # overlap-freeness both ways, so every deeper core is overlap-free.
-        step = _factorise(core) if levels else decompose(core)
+        step = _factorise(core)
         if not step.y:
             break
         levels.append((step.u, step.v))

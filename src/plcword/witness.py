@@ -33,16 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator
 
 from .arithmetic import GcdBound, _least_ell, gcd_bound, word_value
-from .repetitions import (
-    ComplementOccurrence,
-    RepetitionOccurrence,
-    _period_runs,
-    _run_complement_squares,
-    _run_squares,
-)
+from .repetitions import ComplementOccurrence, RepetitionOccurrence, _period_runs
 from .words import _require_base, complement
 
 __all__ = [
@@ -347,31 +340,26 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     square, square3-kind certificates where two whole copies are present,
     and sorts by decreasing score (then position, period, kind).
 
-    Works run by run (see ``repetitions``).  Along a run s = window_len - c
-    with c fixed (2m for square3, m + 2 ell for gcd, since the period words
-    are rotations of each other and share one ``gcd_bound``), so the first
-    certificate of a run predicts the rest and the kept windows are a
-    prefix of the run.  A run whose longest window misses target_s even
-    with ell = 1, or with ell at its gcd-free floor ``_ell_floor``, is
-    skipped without a gcd.
+    Works run by run (see ``repetitions``).  The period words along a run
+    are rotations of each other and share one ``gcd_bound``, and each
+    window's score falls with its position, so the kept windows of a run
+    are one range of positions worked out from the run's end.  A run is
+    skipped without a gcd when it has no window (a one-letter period, or a
+    complement run of at most m positions), or when it has no square3
+    window to keep and its longest gcd window misses target_s even with
+    ell = 1, or with ell at its gcd-free floor ``_ell_floor``.
     """
     image = complement(prefix, base)  # validates the digits, once
-    seen: dict[tuple, PlcCertificate] = {}
+    # the period text is prefix[pos:pos + period_len], so these ints name a window
+    seen: dict[tuple[str, int, int, int], PlcCertificate] = {}
 
-    def certify_run(occs: Iterator[RepetitionOccurrence], kind: str) -> None:
-        last = bound = None
-        for occ in occs:
-            if last is not None and last.s - last.window_len + occ.window_len < target_s:
-                return
-            key = (kind, occ.position, occ.period_word, occ.whole_repeats, occ.frac_len)
-            last = seen.get(key)
-            if last is None:
-                # the periods along a run are rotations of each other
-                bound = bound or gcd_bound(occ.period_word, base)
-                last = certificate_from_occurrence(prefix, occ, base, kind, bound)
-            if last.s < target_s:
-                return
-            seen[key] = last
+    def keep(kind: str, pos: int, period_len: int, window_len: int, bound: GcdBound) -> None:
+        key = (kind, pos, period_len, window_len)
+        if key not in seen:
+            occ = RepetitionOccurrence(
+                pos, prefix[pos : pos + period_len], *divmod(window_len, period_len)
+            )
+            seen[key] = certificate_from_occurrence(prefix, occ, base, kind, bound)
 
     def may_reach(slack: int, a: int, period_len: int) -> bool:
         # the run's best gcd score is at most slack - 2 ell
@@ -379,20 +367,30 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
             slack - 2 * _ell_floor(prefix[a : a + period_len], base) >= target_s
         )
 
-    # the window at pos = a has m + b - a letters; the cut is may_reach's
-    # ell = 1 test, which the square3 test below implies for m >= 2 (a
-    # period of one letter has no fractional windows)
+    # the window at pos has m + b - pos letters, so s = b - pos - 2 ell for
+    # gcd and b - pos - m for square3; windows of whole copies are skipped,
+    # so a period of one letter keeps none.  The cut is may_reach's ell = 1
+    # test, which the square3 test implies for m >= 2.
     for m, a, b in _period_runs(prefix, prefix, lambda m: target_s + 2):
-        if may_reach(b - a, a, m):
-            certify_run(_run_squares(prefix, m, a, b, 1), KIND_GCD)
-        if b - a - m >= target_s:
-            certify_run(_run_squares(prefix, m, a, b, 2), KIND_SQUARE3)
+        square3 = range(a, b - m - max(target_s, 0) + 1)
+        if m > 1 and (square3 or may_reach(b - a, a, m)):
+            bound = gcd_bound(prefix[a : a + m], base)
+            plain = range(a, b - max(target_s + 2 * bound.ell, 1) + 1)
+            for kind, kept in ((KIND_GCD, plain), (KIND_SQUARE3, square3)):
+                for pos in kept:
+                    if (b - pos) % m:
+                        keep(kind, pos, m, m + b - pos, bound)
 
-    # may_reach's ell = 1 test on its slack b - a - m
+    # a window starts at each pos < b - m: the period prefix[pos:pos + 2m]
+    # is v v~ and the window adds its first f = min(m, b - pos - m) letters,
+    # so s = f - 2 ell <= m - 2 ell; the cut is may_reach's ell = 1 test on
+    # its slack b - a - m
     for m, a, b in _period_runs(prefix, image, lambda m: m + target_s + 2):
-        if may_reach(min(m, b - a - m), a, 2 * m):
-            occs = _run_complement_squares(prefix, m, a, b)
-            certify_run((complement_to_gcd_occurrence(o, base) for o in occs), KIND_GCD)
+        if b - a > m and may_reach(min(m, b - a - m), a, 2 * m):
+            bound = gcd_bound(prefix[a : a + 2 * m], base)
+            if m - 2 * bound.ell >= target_s:
+                for pos in range(a, b - m - max(target_s + 2 * bound.ell, 1) + 1):
+                    keep(KIND_GCD, pos, 2 * m, 2 * m + min(m, b - pos - m), bound)
 
     return sorted(
         seen.values(),

@@ -1,8 +1,9 @@
 """Alphabets, morphisms, and infinite words with random-access prefixes.
 
-Letters are single printable ASCII characters and finite words are plain
-Python strings (the empty word is ``""``).  Digit alphabets use the
-characters ``'0'..'9'``, so base-p digit words require ``2 <= p <= 10``.
+Letters are single printable characters (``str.isprintable``, ASCII or
+not) and finite words are plain Python strings (the empty word is ``""``).
+Digit alphabets use the characters ``'0'..'9'``, so base-p digit words
+require ``2 <= p <= 10``.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ def per_period_first_overlap(word: str) -> OverlapOccurrence | None:
     n = len(word)
     if n < 3:
         return None
-    arr = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    arr = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
     for m in range(1, (n - 1) // 2 + 1):
         eq = arr[: n - m] == arr[m:]
         padded = np.empty(len(eq) + 2, dtype=bool)

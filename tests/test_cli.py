@@ -337,6 +337,10 @@ class TestOtherCommands:
         doc = run_json(capsys, "decompose", "--digits", path)
         assert doc["result"]["tm_prefix_len"] >= (16 + 4) / 8
 
+    def test_decompose_rejects_a_short_overlap(self, capsys, digits_file):
+        code, out, err = run_cli(capsys, "decompose", "--digits", digits_file("000"))
+        assert (code, out, err) == (2, "", "error: word contains an overlap\n")
+
     def test_tm(self, capsys):
         doc = run_json(capsys, "tm", "--a", "0", "--b", "1", "--n", "2", "--L", "4")
         assert doc["result"]["constant"] == "3/8"

@@ -87,6 +87,20 @@ class TestFirstOverlapOracles:
     def test_matches_per_period_scan_on_long_periods(self, word):
         assert pw.first_overlap(word) == per_period_first_overlap(word)
 
+    @given(
+        st.one_of(
+            st.text(alphabet="αé€𝄞", max_size=200),
+            mu_grown_words().map(lambda w: w.translate(str.maketrans("01", "α𝄞"))),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_alphabet(self, word):
+        # letters beyond ASCII, some beyond 16 bits, in the direct passes and the ladder
+        occ = pw.first_overlap(word)
+        assert occ == per_period_first_overlap(word)
+        every = pw.find_overlaps(word)
+        assert occ == min(every, key=lambda o: (len(o.x), o.position), default=None)
+
     def test_planted_overlaps_in_every_period_block(self):
         # mu^k of "00000" has its first overlap at period 2**k, at 0
         for k in range(12):

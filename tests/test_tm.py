@@ -105,8 +105,10 @@ class TestExtractTmPrefix:
             assert size == len(chain.core)
 
     def test_rejects_overlap_input(self):
-        with pytest.raises(ValueError):
-            pw.extract_tm_prefix("010101")
+        # short words are checked too, though their target depth is 0
+        for word in ("010101", "000", "111", "2"):
+            with pytest.raises(ValueError):
+                pw.extract_tm_prefix(word)
 
     def test_checks_overlap_freeness_once(self, monkeypatch):
         calls = []

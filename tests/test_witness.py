@@ -391,8 +391,13 @@ class TestOneGcdPerRun:
     )
     def test_gcd_bound_once_per_run(self, monkeypatch, word, base):
         want = naive_scan_and_certify(word, base, 1)
-        # each certified run is one _run_squares or _run_complement_squares call
         runs, gcd_runs, built = [], [], []
+        period_runs = witness._period_runs
+
+        def logged_runs(*args):
+            for run in period_runs(*args):
+                runs.append(run)
+                yield run
 
         def log_calls(name, log, entry):
             original = getattr(witness, name)
@@ -403,11 +408,11 @@ class TestOneGcdPerRun:
 
             monkeypatch.setattr(witness, name, logged)
 
-        log_calls("_run_squares", runs, lambda: None)
-        log_calls("_run_complement_squares", runs, lambda: None)
+        monkeypatch.setattr(witness, "_period_runs", logged_runs)
         log_calls("gcd_bound", gcd_runs, lambda: len(runs))
         log_calls("certificate_from_occurrence", built, lambda: None)
         assert pw.scan_and_certify(word, base, 1) == want
+        # one gcd per run, plain and complement runs alike, square3 and gcd kinds alike
         assert len(gcd_runs) == len(set(gcd_runs)) <= len(runs)
         assert len(gcd_runs) < len(built)
 
