@@ -18,25 +18,23 @@ from . import arithmetic, cf, classify, repetitions, tm, witness, words
 SCHEMA_VERSION = 1
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def digits_io(path: str, base: int) -> str:
     """Read a digit word from a file (or stdin for '-'), ignoring whitespace."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    word = "".join(text.split())
+    word = "".join(_read(path).split())
     words._require_digits(word, base)
     return word
 
 
-def _read_morphism(path: str) -> words.Morphism:
-    with open(path, "r", encoding="ascii") as handle:
-        return words.parse_morphism(handle.read())
-
-
 def _cmd_gen(args) -> dict:
-    morphism = _read_morphism(args.morphism)
+    morphism = words.parse_morphism(_read(args.morphism))
     word = words.fixed_point_prefix(morphism, args.start, args.length)
     return {"word": word}
 
@@ -68,11 +66,10 @@ def _cmd_cert(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     word = digits_io(args.digits, args.p)
-    with open(args.cert, "r", encoding="ascii") as handle:
-        try:
-            payload = json.load(handle)
-        except RecursionError:
-            raise ValueError("certificate file is nested too deeply") from None
+    try:
+        payload = json.loads(_read(args.cert))
+    except RecursionError:
+        raise ValueError("certificate file is nested too deeply") from None
     if isinstance(payload, dict) and "result" in payload:
         payload = payload["result"]  # a whole ``cert --out`` document
     if not isinstance(payload, dict):
@@ -136,7 +133,7 @@ def _cmd_tm(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    morphism = _read_morphism(args.morphism)
+    morphism = words.parse_morphism(_read(args.morphism))
     result = classify.classify_binary(morphism, args.start, depth=args.depth)
     return result.to_json()
 
@@ -150,6 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="recorded in the output")
     parser.add_argument("--out", help="write the JSON document to this path")
     sub = parser.add_subparsers(dest="command", required=True)
+    # detect, cert, verify and bruteforce read a digit word and its base
+    digit_args = argparse.ArgumentParser(add_help=False)
+    digit_args.add_argument("--digits", required=True)
+    digit_args.add_argument("--p", type=int, default=2)
+    digit_command = functools.partial(sub.add_parser, parents=[digit_args])
 
     p_gen = sub.add_parser("gen", help="prefix of a morphic fixed point")
     p_gen.add_argument("--morphism", required=True)
@@ -157,31 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--length", type=int, required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_detect = sub.add_parser("detect", help="repetition occurrences in a digit word")
-    p_detect.add_argument("--digits", required=True)
-    p_detect.add_argument("--p", type=int, default=2)
+    p_detect = digit_command("detect", help="repetition occurrences in a digit word")
     p_detect.add_argument("--kind", choices=["square", "complement", "overlap"], default="square")
     p_detect.add_argument("--squares", type=int, choices=[2, 3], default=3)
     p_detect.add_argument("--min-frac", type=int, default=1, dest="min_frac")
     p_detect.add_argument("--limit", type=int, default=None)
     p_detect.set_defaults(func=_cmd_detect)
 
-    p_cert = sub.add_parser("cert", help="scan a digit word and build certificates")
-    p_cert.add_argument("--digits", required=True)
-    p_cert.add_argument("--p", type=int, default=2)
+    p_cert = digit_command("cert", help="scan a digit word and build certificates")
     p_cert.add_argument("--depth", type=int, default=None)
     p_cert.add_argument("--target-s", type=int, default=1, dest="target_s")
     p_cert.set_defaults(func=_cmd_cert)
 
-    p_verify = sub.add_parser("verify", help="check certificates against digits")
-    p_verify.add_argument("--digits", required=True)
-    p_verify.add_argument("--p", type=int, default=2)
+    p_verify = digit_command("verify", help="check certificates against digits")
     p_verify.add_argument("--cert", required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_brute = sub.add_parser("bruteforce", help="interval-exact minimisation")
-    p_brute.add_argument("--digits", required=True)
-    p_brute.add_argument("--p", type=int, default=2)
+    p_brute = digit_command("bruteforce", help="interval-exact minimisation")
     p_brute.add_argument("--Q", type=int, required=True)
     p_brute.add_argument("--K", type=int, required=True)
     p_brute.set_defaults(func=_cmd_bruteforce)
@@ -276,11 +270,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    base = getattr(args, "p", None)
-    if base is not None and not 2 <= base <= 10:
-        print(f"error: base {base} out of range (2..10)", file=sys.stderr)
-        return 2
     try:
+        if "p" in vars(args):  # before any input is read
+            words._require_base(args.p)
         document = {
             "schema": SCHEMA_VERSION,
             "command": args.command,

@@ -168,12 +168,20 @@ class SubwordSpan(NamedTuple):
 
 
 def _first_by_position(
-    by_position: list[list[tuple[int, int, int]]], build: Callable, limit: int | None
+    word: str, image: str, min_len: Callable, positions: Callable, build: Callable,
+    limit: int | None,
 ) -> list:
-    """build(pos, run) for the runs bucketed at each position in turn, the
-    first ``limit`` of them (all for None): only those become occurrences,
-    so a limited search holds one reference per occurrence, not its text."""
-    occs = (build(pos, run) for pos, runs in enumerate(by_position) for run in runs)
+    """build(pos, m, b) for every pos in positions(m, a, b) of every run
+    ``_period_runs(word, image, min_len)`` yields, by position and then in
+    run order: the first ``limit`` of them (all for None).  The runs are
+    bucketed by position first and only those first ``limit`` become
+    occurrences, so a limited search holds one reference per occurrence,
+    not its text."""
+    by_position: list[list[tuple[int, int, int]]] = [[] for _ in word]
+    for run in _period_runs(word, image, min_len):
+        for pos in positions(*run):
+            by_position[pos].append(run)
+    occs = (build(pos, m, b) for pos, runs in enumerate(by_position) for m, _, b in runs)
     return list(islice(occs, limit))
 
 
@@ -182,16 +190,13 @@ def find_overlaps(word: str, limit: int | None = None) -> list[OverlapOccurrence
 
     Empty result iff the word is overlap-free.
     """
-    by_position: list[list[tuple[int, int, int]]] = [[] for _ in word]
-    for run in _period_runs(word, word, lambda m: m + 1):
-        m, a, b = run
-        for pos in range(a, b - m):
-            by_position[pos].append(run)
 
-    def build(pos: int, run: tuple[int, int, int]) -> OverlapOccurrence:
-        return OverlapOccurrence(pos, word[pos], word[pos + 1 : pos + run[0]])
+    def build(pos: int, m: int, b: int) -> OverlapOccurrence:
+        return OverlapOccurrence(pos, word[pos], word[pos + 1 : pos + m])
 
-    return _first_by_position(by_position, build, limit)
+    return _first_by_position(
+        word, word, lambda m: m + 1, lambda m, a, b: range(a, b - m), build, limit
+    )
 
 
 # Periods below this are scanned one pass each: for short periods that is
@@ -367,21 +372,19 @@ def find_fractional_squares(
         raise ValueError("min_frac must be at least 1")
     if squares not in (2, 3):
         raise ValueError("squares must be 2 or 3")
-    min_repeats = 2 if squares == 3 else 1
-    by_position: list[list[tuple[int, int, int]]] = [[] for _ in word]
-    # min_repeats copies and min_frac more letters fit from a on
-    for run in _period_runs(word, word, lambda m: (min_repeats - 1) * m + min_frac):
-        m, a, b = run
-        # the window at pos has m + b - pos letters
-        for pos in range(a, b - max(1, (min_repeats - 1) * m) + 1):
-            if (m + b - pos) % m >= min_frac:
-                by_position[pos].append(run)
+    whole = squares - 2  # whole copies past the first that a window needs
 
-    def build(pos: int, run: tuple[int, int, int]) -> RepetitionOccurrence:
-        m, _, b = run
+    def positions(m: int, a: int, b: int) -> list[int]:
+        # the window at pos has m + b - pos letters, (b - pos) % m of them in its tail
+        return [pos for pos in range(a, b - max(1, whole * m) + 1) if (b - pos) % m >= min_frac]
+
+    def build(pos: int, m: int, b: int) -> RepetitionOccurrence:
         return RepetitionOccurrence(pos, word[pos : pos + m], *divmod(m + b - pos, m))
 
-    return _first_by_position(by_position, build, limit)
+    # the whole copies and min_frac more letters fit from a on
+    return _first_by_position(
+        word, word, lambda m: whole * m + min_frac, positions, build, limit
+    )
 
 
 def find_complement_squares(
@@ -391,19 +394,17 @@ def find_complement_squares(
     by position then period."""
     if min_frac < 1:
         raise ValueError("min_frac must be at least 1")
-    image = complement(word, base)
-    by_position: list[list[tuple[int, int, int]]] = [[] for _ in word]
-    for run in _period_runs(word, image, lambda m: m + min_frac):
-        m, a, b = run
-        # f = min(m, b - pos - m) reaches min_frac up to pos = b - m - min_frac
-        for pos in range(a, b - m - min_frac + 1 if m >= min_frac else a):
-            by_position[pos].append(run)
 
-    def build(pos: int, run: tuple[int, int, int]) -> ComplementOccurrence:
-        m, _, b = run
+    def positions(m: int, a: int, b: int) -> range:
+        # f = min(m, b - pos - m) reaches min_frac up to pos = b - m - min_frac
+        return range(a, b - m - min_frac + 1 if m >= min_frac else a)
+
+    def build(pos: int, m: int, b: int) -> ComplementOccurrence:
         return ComplementOccurrence(pos, word[pos : pos + m], min(m, b - pos - m))
 
-    return _first_by_position(by_position, build, limit)
+    return _first_by_position(
+        word, complement(word, base), lambda m: m + min_frac, positions, build, limit
+    )
 
 
 def longest_overlap_free_subword(word: str) -> SubwordSpan:

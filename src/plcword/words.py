@@ -124,8 +124,6 @@ def parse_morphism(text: str) -> Morphism:
         head, arrow, image = seg.partition("->")
         if arrow != "->":
             raise MorphismError(f"rule {seg!r} is missing '->'")
-        if len(head) != 1:
-            raise MorphismError(f"rule head {head!r} must be a single letter")
         if head in rules:
             raise MorphismError(f"duplicate rule for {head!r}")
         rules[head] = image

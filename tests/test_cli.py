@@ -68,6 +68,89 @@ class TestGen:
         assert err == "error: letter '2' is not in the morphism's alphabet\n"
 
 
+class TestUtf8Inputs:
+    """Morphism, digit and certificate files are read as UTF-8 text."""
+
+    @pytest.fixture
+    def greek_file(self, tmp_path):
+        path = tmp_path / "greek.mrf"
+        path.write_text("α->αβ;β->βα", encoding="utf-8")
+        return str(path)
+
+    def test_gen_reads_a_non_ascii_morphism(self, capsys, greek_file):
+        doc = run_json(capsys, "gen", "--morphism", greek_file, "--start", "α", "--length", "8")
+        assert doc["result"]["word"] == "αββαβααβ"
+
+    def test_classify_names_its_alphabet_rule(self, capsys, greek_file):
+        code, out, err = run_cli(capsys, "classify", "--morphism", greek_file, "--start", "α")
+        assert (code, out, err) == (2, "", "error: classification needs the alphabet {0, 1}\n")
+
+    def test_non_ascii_digit_is_named(self, capsys, tmp_path):
+        path = tmp_path / "digits.txt"
+        path.write_text("01α0", encoding="utf-8")
+        code, out, err = run_cli(capsys, "detect", "--digits", str(path))
+        assert (code, out, err) == (2, "", "error: letter 'α' is not a base-2 digit\n")
+
+    def test_non_ascii_certificate_period_is_named(self, capsys, tmp_path, digits_file):
+        path = digits_file("0101010")
+        cert_path = tmp_path / "greek.json"
+        cert = {**HONEST_CERT, "period": "0α"}
+        cert_path.write_text(json.dumps(cert, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--digits", path, "--cert", str(cert_path))
+        assert (code, out, err) == (2, "", "error: letter 'α' is not a base-2 digit\n")
+
+
+# Every command that takes --p, with its other required arguments; the
+# digit commands read stdin, which the base check must never reach.
+BASE_COMMANDS = {
+    "detect": ["detect", "--digits", "-"],
+    "cert": ["cert", "--digits", "-"],
+    "verify": ["verify", "--digits", "-", "--cert", "-"],
+    "bruteforce": ["bruteforce", "--digits", "-", "--Q", "3", "--K", "0"],
+    "orbit": ["orbit", "--x", "1/3", "--K", "2"],
+}
+DIGIT_COMMANDS = {
+    "detect": [],
+    "cert": [],
+    "verify": ["--cert", "honest.json"],
+    "bruteforce": ["--Q", "3", "--K", "0"],
+}
+
+
+class TestBaseRule:
+    @pytest.mark.parametrize("base", ["1", "11"])
+    @pytest.mark.parametrize("command", list(BASE_COMMANDS))
+    def test_out_of_range_base_fails_before_input(self, capsys, monkeypatch, command, base):
+        class UnreadableStdin:
+            def read(self, *args):
+                pytest.fail("stdin was read before the base was checked")
+
+        monkeypatch.setattr("sys.stdin", UnreadableStdin())
+        code, out, err = run_cli(capsys, *BASE_COMMANDS[command], "--p", base)
+        assert (code, out) == (2, "")
+        assert err == f"error: base must be between 2 and 10, got {base}\n"
+
+
+class TestDigitArguments:
+    """detect, cert, verify and bruteforce share one --digits/--p group."""
+
+    @pytest.mark.parametrize("command", list(DIGIT_COMMANDS))
+    def test_digits_is_required(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *DIGIT_COMMANDS[command]])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(DIGIT_COMMANDS))
+    def test_base_defaults_to_two(self, capsys, monkeypatch, tmp_path, digits_file, command):
+        path = digits_file("0101010")
+        (tmp_path / "honest.json").write_text(json.dumps(HONEST_CERT))
+        monkeypatch.chdir(tmp_path)
+        doc = run_json(capsys, command, "--digits", path, *DIGIT_COMMANDS[command])
+        assert doc["config"]["p"] == 2
+        assert doc["config"]["digits"] == path
+
+
 class TestDetect:
     def test_square_occurrences(self, capsys, digits_file):
         path = digits_file("0101010")

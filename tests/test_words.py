@@ -1,4 +1,5 @@
 import random
+import re
 import threading
 import tracemalloc
 
@@ -42,6 +43,14 @@ class TestParseMorphism:
     def test_undeclared_letter(self):
         with pytest.raises(pw.MorphismError):
             pw.parse_morphism("0->01")
+
+    @pytest.mark.parametrize("text", ["01->0", "->0", "\x01->\x01"])
+    def test_head_must_be_one_printable_letter(self, text):
+        # one rule and one message, in Morphism, for parsed and built maps
+        head = text.partition("->")[0]
+        message = f"rule head {head!r} must be a single printable character"
+        with pytest.raises(pw.MorphismError, match=re.escape(message)):
+            pw.parse_morphism(text)
 
     def test_duplicate_head(self):
         with pytest.raises(pw.MorphismError):
