@@ -65,6 +65,8 @@ def _cmd_cert(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    if args.digits == args.cert == "-":
+        raise ValueError("--digits and --cert cannot both read stdin ('-')")
     word = digits_io(args.digits, args.p)
     try:
         payload = json.loads(_read(args.cert))

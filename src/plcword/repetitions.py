@@ -42,7 +42,12 @@ at once by binary lifting on a ladder of factor ids (level k names every
 factor of length 2**k), the longest-common-extension view of Main and
 Lorentz (1984) and Kolpakov and Kucherov (1999).  There are about n ln 2
 samples per doubling block of periods, so an overlap-free word costs
-O(n log^2 n); short periods keep a direct pass each, and the search stops
+O(n log^2 n).  Most samples never reach the lifting: in a block [lo, 2 lo)
+with 2**(k+1) <= lo + 1, a hit at s needs forward plus backward extension
+of at least m + 1 >= 2**(k+1), so one of them is at least 2**k, and one
+compare of level-k ids on each side drops every sample that cannot hit
+(about 99% of them on the overlap-free words ``decompose`` checks) without
+changing the result.  Short periods keep a direct pass each, and the search stops
 at the first block with an overlap.  It must stay result-identical to the
 per-period scan kept as an oracle in the tests.  The direct passes stay
 their own loop, ``_first_long_run``, rather than the kernel with the cut
@@ -295,6 +300,13 @@ def _block_overlap(
     word[:s+m]), both capped at m+1, measure the run of period m through s
     (or ending at s-1); L + R >= m+1 is an overlap at s - L.  The sample in
     the leftmost run has L <= m, so the least s - L is exact despite the caps.
+
+    With t = s + m and 2**(k+1) <= lo + 1 <= m + 1, a hit has L + R >= 2**(k+1),
+    so max(L, R) >= 2**k: word[s:] and word[t:] share their first 2**k
+    letters, or word[:s] and word[:t] their last 2**k.  One compare of
+    level-k ids per side tests that, and only the samples that pass it
+    (about 1% on an overlap-free word) are lifted; the others cannot hit,
+    so the result is the one lifting every sample gives.
     """
     ladder.level(hi.bit_length() - 1)  # before the pair arrays: lower peak memory
     spans = np.arange(lo + 1, hi + 1, dtype=np.int32)  # m + 1
@@ -303,6 +315,16 @@ def _block_overlap(
     first = np.cumsum(counts, dtype=np.int32) - counts
     s = (np.arange(len(span), dtype=np.int32) - np.repeat(first, counts)) * span
     t = s + span - 1
+    k = (lo + 1).bit_length() - 2
+    ids, step = ladder.level(k), 1 << k
+    ahead = t <= n - step  # index 0 where a factor would leave the word
+    ahead &= ids[s * ahead] == ids[t * ahead]
+    behind = s >= step
+    behind &= ids[(s - step) * behind] == ids[(t - step) * behind]
+    keep = ahead | behind
+    s, t, span = s[keep], t[keep], span[keep]
+    if not s.size:
+        return None
     right = ladder.common(s, t, np.minimum(span, n - t), backward=False)
     left = ladder.common(s, t, np.minimum(span, s), backward=True)
     hits = np.flatnonzero(left + right >= span)

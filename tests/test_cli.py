@@ -117,14 +117,17 @@ DIGIT_COMMANDS = {
 }
 
 
+class UnreadableStdin:
+    """A stdin for checks that must fail before any input is read."""
+
+    def read(self, *args):
+        pytest.fail("stdin was read")
+
+
 class TestBaseRule:
     @pytest.mark.parametrize("base", ["1", "11"])
     @pytest.mark.parametrize("command", list(BASE_COMMANDS))
     def test_out_of_range_base_fails_before_input(self, capsys, monkeypatch, command, base):
-        class UnreadableStdin:
-            def read(self, *args):
-                pytest.fail("stdin was read before the base was checked")
-
         monkeypatch.setattr("sys.stdin", UnreadableStdin())
         code, out, err = run_cli(capsys, *BASE_COMMANDS[command], "--p", base)
         assert (code, out) == (2, "")
@@ -354,6 +357,12 @@ class TestCertifyPipeline:
         doc = run_json(capsys, "verify", "--digits", path, "--p", "2", "--cert", str(cert_path))
         assert doc["result"]["combinatorial_ok"] is True
         assert doc["result"]["guaranteed_bound"] == "1/2"
+
+    def test_digits_and_cert_cannot_both_be_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", UnreadableStdin())
+        code, out, err = run_cli(capsys, "verify", "--digits", "-", "--cert", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: --digits and --cert cannot both read stdin ('-')\n"
 
     def test_short_prefix_is_validation_error(self, capsys, tmp_path, digits_file):
         path = digits_file("010")

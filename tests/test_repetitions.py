@@ -108,6 +108,23 @@ class TestFirstOverlapOracles:
             occ = pw.first_overlap(word)
             assert occ == per_period_first_overlap(word)
             assert (occ.position, len(occ.x) + 1) == (0, 2**k)
+        # distinct letters hold no overlap, so a planted v v v[0] is the first.
+        # Alone it has one sample, at 0, with no letter to its left; after
+        # other letters, the length a multiple of m + 1, its one sample has a
+        # single letter to its right.
+        letters = [chr(0x100 + i) for i in range(2048)]
+        for lo in (32, 64, 128, 256, 512):
+            for m in (lo, lo + lo // 3, 2 * lo - 1):
+                v = letters[:m]
+                n = (m + 1) * (len(letters) // (m + 1))
+                for pos, word in (
+                    (0, v + v + v[:1]),
+                    (n - 2 * m - 1, letters[m : n - m - 1] + v + v + v[:1]),
+                ):
+                    word = "".join(word)
+                    occ = pw.first_overlap(word)
+                    assert occ == per_period_first_overlap(word)
+                    assert (occ.position, len(occ.x) + 1) == (pos, m)
 
     def test_thue_morse_peak_memory(self):
         word = pw.thue_morse_prefix(2**15)

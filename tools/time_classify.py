@@ -6,7 +6,9 @@ in ``perfbench/workloads.py``: all 180 pairs (phi, z) over {0, 1} with
 images of length at most 3 and phi(z) = z + u, u non-empty): in all, then
 per outcome with the number of pairs (the P1 line is the Thue-Morse pairs).  Then it prints
 the seconds a fresh ``FixedPointStream(...).prefix(N)`` takes for the
-Thue-Morse word (0 -> 01, 1 -> 10) and the Fibonacci word (0 -> 01, 1 -> 0).
+Thue-Morse word (0 -> 01, 1 -> 10) and the Fibonacci word (0 -> 01, 1 -> 0),
+and the seconds ``first_overlap(thue_morse_prefix(N))`` takes: the word is
+overlap-free, so the search runs every block of periods.
 
 Run from the repository root:
 ``PYTHONPATH=src:perfbench python tools/time_classify.py --depth 4096``.
@@ -18,7 +20,10 @@ import argparse
 import time
 from collections import defaultdict
 
-from plcword import FixedPointStream, Morphism, classify_binary, parse_morphism
+from plcword import (
+    FixedPointStream, Morphism, classify_binary, first_overlap, parse_morphism,
+    thue_morse_prefix,
+)
 from workloads import binary_census
 
 STREAMS = {"thue-morse": "0->01;1->10", "fibonacci": "0->01;1->0"}
@@ -44,6 +49,10 @@ def main() -> None:
         start = time.perf_counter()
         stream.prefix(n)
         print(f"{name:<10} n={n:<10} {time.perf_counter() - start:8.5f} s  stream prefix")
+    word = thue_morse_prefix(n)
+    start = time.perf_counter()
+    first_overlap(word)
+    print(f"thue-morse n={n:<10} {time.perf_counter() - start:8.5f} s  first_overlap")
 
 
 if __name__ == "__main__":
