@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
 
 __all__ = [
     "ContinuedFraction",
@@ -71,14 +72,16 @@ def orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
     if max_k < 0:
         raise ValueError("max_k must be non-negative")
     x = Fraction(x)
-    rows = tuple(
-        (k, i, a)
-        for k in range(max_k + 1)
-        for i, a in enumerate(cf_expand(x * base**k).quotients, start=1)
-    )
-    # max keeps the first of equal keys, which is the leftmost attainment
-    k, i, a = max(rows, key=lambda row: row[2], default=(None, None, None))
-    return OrbitMaxResult(a, k, i, rows)
+    rows: list[tuple[int, int, int]] = []
+    best_k = best_i = best = None
+    for k in range(max_k + 1):
+        quotients = cf_expand(x * base**k).quotients
+        rows.extend(zip(repeat(k), count(1), quotients))
+        top = max(quotients, default=None)
+        # a strict rise keeps the earliest k, and index the leftmost i
+        if top is not None and (best is None or top > best):
+            best_k, best_i, best = k, quotients.index(top) + 1, top
+    return OrbitMaxResult(best, best_k, best_i, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ digitwise affine identities between those constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arithmetic import prefix_value
+from .arithmetic import prefix_value, word_value
 from .repetitions import is_overlap_free
 from .words import FixedPointStream, Morphism, complement
 
@@ -208,32 +209,30 @@ def tm_identity_suite(base: int, length: int) -> list[IdentityCheck]:
       word of TM(base-1,0), and 1 - X - base**-L equals the complement value;
     * shift: TM(0,k) + 0.lll... = TM(l,l+k) and TM(k,0) + 0.lll... =
       TM(k+l,l) for l <= base-1-k.
+
+    Every constant is a numerator over base**L, so the checks compare the
+    ``word_value`` of digit words, which checks each digit against the base;
+    each (a, b) word is valued once per call.
     """
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    value = functools.cache(lambda a, b: word_value(tm_digit_word(a, b, length), base))
     checks: list[IdentityCheck] = []
-    unit = tm_constant(0, 1, base, length)
     for r in range(base):
-        ok = r * unit == tm_constant(0, r, base, length)
+        ok = r * value(0, 1) == value(0, r)
         checks.append(IdentityCheck("scaling", {"r": r}, ok))
 
     top = base - 1
-    word_down = tm_digit_word(0, top, length)
-    word_up = tm_digit_word(top, 0, length)
+    word_down, word_up = tm_digit_word(0, top, length), tm_digit_word(top, 0, length)
     digit_ok = complement(word_down, base) == word_up
-    value_ok = (
-        1 - tm_constant(0, top, base, length) - Fraction(1, base**length)
-        == tm_constant(top, 0, base, length)
-    )
+    value_ok = base**length - 1 - value(0, top) == value(top, 0)
     checks.append(IdentityCheck("complement", {}, digit_ok and value_ok))
 
+    runs = [word_value(str(ell) * length, base) for ell in range(base)]
     for k in range(base):
         for ell in range(base - k):
-            run = prefix_value(str(ell) * length, base)
-            ok = (
-                tm_constant(0, k, base, length) + run
-                == tm_constant(ell, ell + k, base, length)
-            ) and (
-                tm_constant(k, 0, base, length) + run
-                == tm_constant(k + ell, ell, base, length)
+            ok = (value(0, k) + runs[ell] == value(ell, ell + k)) and (
+                value(k, 0) + runs[ell] == value(k + ell, ell)
             )
             checks.append(IdentityCheck("shift", {"k": k, "l": ell}, ok))
     return checks

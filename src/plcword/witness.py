@@ -25,7 +25,11 @@ from a prefix is then enough, because the inequality holds for every real
 number whose expansion extends that prefix.  ``brute_force_min`` is the
 independent cross-check: an exact interval minimisation of the functional
 over small q and k that knows nothing about periods or gcds.  It searches
-with integers; ``enclosure`` is the exact range at one pair.
+with integers; ``enclosure`` is the exact range at one pair.  A uint64
+fixed-point prefilter encloses every candidate's upper end between two
+integers, in numpy blocks of q, and only the q whose lower end does not
+exceed the least upper end reach the exact test; the winning pair and its
+ties always do, so the result is exact and usually one q per k is tested.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import Iterator
+
+import numpy as np
 
 from .arithmetic import GcdBound, _least_ell, gcd_bound, word_value
 from .repetitions import ComplementOccurrence, RepetitionOccurrence, _period_runs
@@ -267,6 +274,51 @@ def enclosure(prefix: str, base: int, q: int, k: int) -> tuple[Fraction, Fractio
     return q * lo, q * hi
 
 
+# q per numpy block in ``_fixed_point_bounds``, so the prefilter's memory stays flat.
+_Q_BLOCK = 4096
+
+
+def _fixed_point_bounds(
+    shifted: int, den: int, max_q: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks (q, lo, hi) of uint64 arrays over q = 1 .. max_q < 2**63 with
+    lo <= q F U_q <= hi, where F = 2**(63 - max_q.bit_length()), U_q is the
+    largest ||y|| for y in [r, r + q] / den and r = q shifted mod den.
+
+    With alpha = floor(F shifted / den), U = q alpha mod F lies within q
+    below F * (q shifted / den mod 1), so d = min(U, F - U) is within q of
+    F ||r / den||.  U_q is at least ||r / den|| and at least half the
+    interval's length (capped at 1/2), and at most ||r / den|| + q / den
+    (capped at 1/2).  Every product stays below 2**63, as q F < 2**63.
+    """
+    bits = 63 - max_q.bit_length()
+    one = 1 << bits
+    alpha = np.uint64((shifted << bits) // den)
+    mask, full, half = np.uint64(one - 1), np.uint64(one), np.uint64(one // 2)
+    # F / den, clamped before the product: any step past F/2 is capped anyway
+    step = np.uint64(min(one // den + 1, one // 2))
+    width = np.uint64(one // (2 * den))
+    for start in range(1, max_q + 1, _Q_BLOCK):
+        q = np.arange(start, min(start + _Q_BLOCK, max_q + 1), dtype=np.uint64)
+        u = (q * alpha) & mask  # wraps mod 2**64, a multiple of F
+        d = np.minimum(u, full - u)
+        lo = q * np.maximum(np.maximum(d, q) - q, np.minimum(q * width, half))
+        hi = q * np.minimum(half, d + q + q * step)
+        yield q, lo, hi
+
+
+def _candidate_qs(shifted: int, den: int, max_q: int) -> Iterator[int]:
+    """Increasing q in [1, max_q] whose lower bound is at most every upper
+    bound so far: the first q with the least q U_q and every q tying it."""
+    if max_q.bit_length() > 63:  # q no longer fits in 63 bits
+        yield from range(1, max_q + 1)
+        return
+    bound = 1 << 63  # above every hi
+    for q, lo, hi in _fixed_point_bounds(shifted, den, max_q):
+        bound = min(bound, int(hi.min()))
+        yield from q[lo <= np.uint64(bound)].tolist()
+
+
 def brute_force_min(
     prefix: str, base: int, max_q: int, max_k: int
 ) -> BruteForceResult:
@@ -276,6 +328,13 @@ def brute_force_min(
     broken by smaller k then smaller q.  With den = p**(len-k) and r = q v
     mod den, that end is q H / (2 den) for an integer H (``_dist_interval``
     on [r, r + q]), so only the winning pair becomes a ``Fraction``.
+
+    For each k, a fixed-point prefilter (``_candidate_qs``) first encloses
+    every q's upper end between integer bounds, a block of q at a time in
+    numpy, and keeps only the q whose lower bound is at most the least
+    upper bound so far.  The first minimiser and every q tying it always
+    pass, so the exact test, run on the kept q in increasing order, picks
+    the same pair as a test of every q; usually one q per k is kept.
     """
     _require_base(base)
     if max_q < 1:
@@ -289,12 +348,12 @@ def brute_force_min(
     for k in range(min(max_k, length) + 1):
         den = base ** (length - k)
         shifted, twice = value % den, 2 * den
-        top, arg, r = max_q * den + 1, 0, 0
-        for q in range(1, max_q + 1):
-            r = (r + shifted) % den
+        top, arg = max_q * den + 1, 0
+        for q in _candidate_qs(shifted, den, max_q):
+            r = q * shifted % den
             if (den - 2 * r) % twice <= 2 * q:
                 qh = q * den
-            else:  # conditionals, not min and max calls: this is the hot loop
+            else:
                 rb = (r + q) % den
                 ra = r if 2 * r < den else den - r
                 rb = rb if 2 * rb < den else den - rb

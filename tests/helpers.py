@@ -18,12 +18,19 @@ from plcword import (
     MU,
     BruteForceResult,
     ComplementOccurrence,
+    IdentityCheck,
     Morphism,
+    OrbitMaxResult,
     OverlapOccurrence,
     RepetitionOccurrence,
     certificate_from_occurrence,
+    cf_expand,
     complement,
     complement_to_gcd_occurrence,
+    enclosure,
+    prefix_value,
+    tm_constant,
+    tm_digit_word,
     word_value,
 )
 
@@ -255,6 +262,85 @@ def naive_brute_force_min(
                 best_lo = q_lo
     assert best is not None
     return BruteForceResult(q=best[2], k=best[1], value_lo=best_lo, value_hi=best[0])
+
+
+def integer_brute_force_min(
+    prefix: str, base: int, max_q: int, max_k: int
+) -> BruteForceResult:
+    """Oracle for ``brute_force_min``'s prefilter: the same integer test,
+    run on every candidate (q, k) with no fixed-point filter."""
+    if max_q < 1:
+        raise ValueError("max_q must be at least 1")
+    if max_k < 0:
+        raise ValueError("max_k must be non-negative")
+    length = len(prefix)
+    value = word_value(prefix, base) if prefix else 0
+    best_top, best_den, best_q, best_k = 1, 0, 0, 0  # q H / den = +infinity
+    # every k >= len gives the same enclosures, and ties keep the smaller k
+    for k in range(min(max_k, length) + 1):
+        den = base ** (length - k)
+        shifted, twice = value % den, 2 * den
+        top, arg, r = max_q * den + 1, 0, 0
+        for q in range(1, max_q + 1):
+            r = (r + shifted) % den
+            if (den - 2 * r) % twice <= 2 * q:
+                qh = q * den
+            else:  # conditionals, not min and max calls: this is the hot loop
+                rb = (r + q) % den
+                ra = r if 2 * r < den else den - r
+                rb = rb if 2 * rb < den else den - rb
+                qh = 2 * q * (ra if ra > rb else rb)
+            if qh < top:
+                top, arg = qh, q
+        if top * best_den < best_top * den:
+            best_top, best_den, best_q, best_k = top, den, arg, k
+    lo, hi = enclosure(prefix, base, best_q, best_k)
+    return BruteForceResult(q=best_q, k=best_k, value_lo=lo, value_hi=hi)
+
+
+def naive_orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
+    """Oracle for ``orbit_max_quotient``: every row as a tuple, then one
+    lambda-keyed ``max``, which keeps the first (leftmost) of equal keys."""
+    rows = tuple(
+        (k, i, a)
+        for k in range(max_k + 1)
+        for i, a in enumerate(cf_expand(x * base**k).quotients, start=1)
+    )
+    k, i, a = max(rows, key=lambda row: row[2], default=(None, None, None))
+    return OrbitMaxResult(a, k, i, rows)
+
+
+def naive_tm_identity_suite(base: int, length: int) -> list[IdentityCheck]:
+    """Oracle for ``tm_identity_suite``: every identity between the
+    ``Fraction`` constants themselves."""
+    checks: list[IdentityCheck] = []
+    unit = tm_constant(0, 1, base, length)
+    for r in range(base):
+        ok = r * unit == tm_constant(0, r, base, length)
+        checks.append(IdentityCheck("scaling", {"r": r}, ok))
+
+    top = base - 1
+    word_down = tm_digit_word(0, top, length)
+    word_up = tm_digit_word(top, 0, length)
+    digit_ok = complement(word_down, base) == word_up
+    value_ok = (
+        1 - tm_constant(0, top, base, length) - Fraction(1, base**length)
+        == tm_constant(top, 0, base, length)
+    )
+    checks.append(IdentityCheck("complement", {}, digit_ok and value_ok))
+
+    for k in range(base):
+        for ell in range(base - k):
+            run = prefix_value(str(ell) * length, base)
+            ok = (
+                tm_constant(0, k, base, length) + run
+                == tm_constant(ell, ell + k, base, length)
+            ) and (
+                tm_constant(k, 0, base, length) + run
+                == tm_constant(k + ell, ell, base, length)
+            )
+            checks.append(IdentityCheck("shift", {"k": k, "l": ell}, ok))
+    return checks
 
 
 def naive_longest_overlap_free(word: str) -> tuple[int, int]:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plcword as pw
+from helpers import naive_orbit_max_quotient
 
 
 class TestExpand:
@@ -67,6 +68,16 @@ class TestOrbitMaxQuotient:
                 cur = res.max_quotient or 0
                 assert cur >= prev
                 prev = cur
+
+    @given(
+        st.integers(-10**30, 10**30),
+        st.integers(1, 10**30),
+        st.integers(2, 10),
+        st.integers(0, 12),
+    )
+    def test_matches_lambda_keyed_max(self, num, den, base, max_k):
+        x = Fraction(num, den)
+        assert pw.orbit_max_quotient(x, base, max_k) == naive_orbit_max_quotient(x, base, max_k)
 
 
 class TestSandwich:

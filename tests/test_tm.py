@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plcword as pw
-from helpers import naive_mu_preimage, near_mu_images, overlap_free_census
+from helpers import (
+    naive_mu_preimage,
+    naive_tm_identity_suite,
+    near_mu_images,
+    overlap_free_census,
+)
+from plcword import tm
 from plcword.tm import _mu_preimage
 
 TM16 = "0110100110010110"
@@ -161,3 +167,26 @@ class TestIdentitySuite:
     def test_all_pass_for_small_bases(self):
         for base in (2, 3, 4):
             assert all(c.ok for c in pw.tm_identity_suite(base, 32))
+
+    @pytest.mark.parametrize("base", range(2, 11))
+    def test_matches_fraction_suite(self, base):
+        for length in (1, 7, 64, 301):
+            assert pw.tm_identity_suite(base, length) == naive_tm_identity_suite(base, length)
+
+    def test_corrupted_digit_word_fails(self, monkeypatch):
+        real = tm.tm_digit_word
+
+        def corrupted(a, b, length):
+            word = real(a, b, length)
+            if (a, b) != (0, 3):
+                return word
+            return word[:-1] + ("1" if word[-1] == "0" else "0")
+
+        monkeypatch.setattr(tm, "tm_digit_word", corrupted)
+        failed = [c for c in pw.tm_identity_suite(5, 40) if not c.ok]
+        assert {"r": 3} in [c.params for c in failed if c.identity == "scaling"]
+        assert {"k": 3, "l": 1} in [c.params for c in failed if c.identity == "shift"]
+
+    def test_rejects_empty_length(self):
+        with pytest.raises(ValueError):
+            pw.tm_identity_suite(3, 0)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 
 import plcword as pw
 from helpers import (
+    _naive_dist_interval,
     digit_words,
+    integer_brute_force_min,
     naive_brute_force_min,
     naive_scan_and_certify,
     random_digit_word,
 )
 from plcword import witness
-from plcword.witness import _bound_text, _ell_floor
+from plcword.witness import _bound_text, _candidate_qs, _ell_floor, _fixed_point_bounds
 
 
 def plant_repetition(rng, length, base=2):
@@ -204,6 +207,62 @@ class TestBruteForceMatchesNaive:
             pw.brute_force_min(prefix, base, 3, 0)
         with pytest.raises(ValueError, match="base"):
             pw.enclosure(prefix, base, 1, 0)
+
+
+class TestPrefilter:
+    @given(
+        digit_words(max_len=12, bases=range(2, 11)).flatmap(
+            lambda wb: st.tuples(
+                st.just(wb),
+                st.sampled_from((4096, 4097, 8193, 12289)) | st.integers(1, 12289),
+                st.integers(0, len(wb[0]) + 4),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_result(self, case):
+        # max_k past the length reaches den = 1, where the step is clamped
+        (word, base), max_q, max_k = case
+        got = pw.brute_force_min(word, base, max_q, max_k)
+        assert got == integer_brute_force_min(word, base, max_q, max_k)
+
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    @pytest.mark.parametrize("letter", ["0", "top"])
+    def test_constant_prefixes(self, base, letter):
+        word = (str(base - 1) if letter == "top" else "0") * 12
+        got = pw.brute_force_min(word, base, 5000, 14)
+        assert got == integer_brute_force_min(word, base, 5000, 14)
+
+    def test_keeps_about_one_q_per_k(self):
+        word = pw.thue_morse_prefix(256)
+        value = pw.word_value(word, 2)
+        for k in range(16):
+            den = 2 ** (256 - k)
+            assert len(list(_candidate_qs(value % den, den, 1 << 16))) <= 2
+
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda base: st.integers(0, 40).flatmap(
+                lambda n: st.tuples(st.integers(0, base**n - 1), st.just(base**n))
+            )
+        ),
+        st.sampled_from((4097, 8192)) | st.integers(1, 4096) | st.integers(1, 2**62),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_enclose_every_upper_end(self, fraction, max_q):
+        # lo <= F q U_q <= hi for each q of the first two blocks
+        shifted, den = fraction
+        scale = 1 << (63 - max_q.bit_length())
+        blocks = itertools.islice(_fixed_point_bounds(shifted, den, max_q), 2)
+        for qs, lo, hi in blocks:
+            for q, low, high in zip(qs.tolist(), lo.tolist(), hi.tolist()):
+                a = q * shifted
+                top = q * _naive_dist_interval(a, a + q, den)[1]
+                assert low <= scale * top <= high
+
+    def test_every_q_past_the_fixed_point(self):
+        # q no longer fits 63 bits: nothing is ruled out
+        assert list(itertools.islice(_candidate_qs(5, 7, 1 << 70), 3)) == [1, 2, 3]
 
 
 class TestEnclosure:
