@@ -294,16 +294,18 @@ def _fixed_point_bounds(
     bits = 63 - max_q.bit_length()
     one = 1 << bits
     alpha = np.uint64((shifted << bits) // den)
-    mask, full, half = np.uint64(one - 1), np.uint64(one), np.uint64(one // 2)
+    mask, full = np.uint64(one - 1), np.uint64(one)
+    # F/2 rounded down for lo and up for hi: F is 1 once max_q >= 2**62
+    half, cap = np.uint64(one // 2), np.uint64((one + 1) // 2)
     # F / den, clamped before the product: any step past F/2 is capped anyway
-    step = np.uint64(min(one // den + 1, one // 2))
+    step = np.uint64(min(one // den + 1, (one + 1) // 2))
     width = np.uint64(one // (2 * den))
     for start in range(1, max_q + 1, _Q_BLOCK):
         q = np.arange(start, min(start + _Q_BLOCK, max_q + 1), dtype=np.uint64)
         u = (q * alpha) & mask  # wraps mod 2**64, a multiple of F
         d = np.minimum(u, full - u)
         lo = q * np.maximum(np.maximum(d, q) - q, np.minimum(q * width, half))
-        hi = q * np.minimum(half, d + q + q * step)
+        hi = q * np.minimum(cap, d + q + q * step)
         yield q, lo, hi
 
 
