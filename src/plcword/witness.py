@@ -392,6 +392,44 @@ def _ell_floor(period: str, base: int) -> int:
     return _least_ell(c + 1, base)
 
 
+def _ell_floors(n: int, base: int) -> np.ndarray:
+    """``_least_ell(m + 1, base)`` for 0 <= m < n, as an int64 array.
+
+    Entry m is the ``_ell_floor`` of a primitive period of m letters and
+    at least that of any period of m letters (its c is at most m).  It is
+    one more than the number of powers base**1, base**2, ... at most m.
+    """
+    powers = [base]
+    while powers[-1] < n:
+        powers.append(powers[-1] * base)
+    return np.searchsorted(np.array(powers, dtype=np.int64), np.arange(n), side="right") + 1
+
+
+def _plain_runs(prefix: str, min_len: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """The runs (m, a, b) of period m in prefix with b - a >= min_len[m],
+    and the shorter runs whose period word is a proper power u**j of the
+    period word of one of them.
+
+    The stretch prefix[a:b + m] of such a run has period c = |u|, so it is
+    also the stretch of the run (c, a, b + m - c), its root run; and from
+    any run (c, a, b) with b - a > c, every multiple m of c below its
+    stretch's length has the maximal run (m, a, b + c - m) (a letter
+    extending it would extend the run of period c as well).  The kernel
+    yields shifts in increasing order, so the first run with b - a > c to
+    span a stretch is its root, and the multiples the cut dropped are
+    listed from it, once each.
+    """
+    listed = set()
+    for c, a, b in _period_runs(prefix, prefix, lambda m: min_len[m]):
+        yield c, a, b
+        end = b + c
+        if b - a > c and (a, end) not in listed:
+            listed.add((a, end))
+            for m in range(2 * c, end - a, c):
+                if end - m - a < min_len[m]:
+                    yield m, a, end - m
+
+
 def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertificate]:
     """Scan a digit prefix for repetitions; return certificates with s >= target_s.
 
@@ -408,9 +446,23 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     skipped without a gcd when it has no window (a one-letter period, or a
     complement run of at most m positions), or when it has no square3
     window to keep and its longest gcd window misses target_s even with
-    ell = 1, or with ell at its gcd-free floor ``_ell_floor``.
+    ell at its gcd-free floor ``_ell_floor``.
+
+    The kernel drops most plain runs before they reach Python: it keeps a
+    run of period m when it has a square3 window or when its longest gcd
+    window reaches target_s with ell at the floor of a primitive period of
+    m letters, ``_ell_floors``.  A run whose period word is a proper power
+    has a lower floor, so the cut may drop it; ``_plain_runs`` lists it
+    again from its root run.  A kept run that passes the floor test needs
+    no ``_ell_floor`` of its own.
     """
+    n = len(prefix)
     image = complement(prefix, base)  # validates the digits, once
+    # every score lies in (-2n, n): a window has at most n letters and ell
+    # at most as many as its period; so the clamp keeps the same
+    # certificates, and it keeps the cuts below within int64
+    target_s = min(max(target_s, -2 * n), n)
+    floors = _ell_floors(n, base)
     # the period text is prefix[pos:pos + period_len], so these ints name a window
     seen: dict[tuple[str, int, int, int], PlcCertificate] = {}
 
@@ -423,16 +475,22 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
             seen[key] = certificate_from_occurrence(prefix, occ, base, kind, bound)
 
     def may_reach(slack: int, a: int, period_len: int) -> bool:
-        # the run's best gcd score is at most slack - 2 ell
-        return slack - 2 >= target_s and (
-            slack - 2 * _ell_floor(prefix[a : a + period_len], base) >= target_s
+        # the run's best gcd score is at most slack - 2 ell, and the floor of
+        # ell is at most floors[period_len]
+        return slack - 2 * int(floors[period_len]) >= target_s or (
+            slack - 2 >= target_s
+            and slack - 2 * _ell_floor(prefix[a : a + period_len], base) >= target_s
         )
 
     # the window at pos has m + b - pos letters, so s = b - pos - 2 ell for
     # gcd and b - pos - m for square3; windows of whole copies are skipped,
-    # so a period of one letter keeps none.  The cut is may_reach's ell = 1
-    # test, which the square3 test implies for m >= 2.
-    for m, a, b in _period_runs(prefix, prefix, lambda m: target_s + 2):
+    # so a period of one letter keeps none.  The kernel's cut keeps the runs
+    # with a square3 window or with b - a - 2 floors[m] >= target_s.  A cut
+    # run of period j c that may still reach target_s has b - a at least
+    # max(target_s + 2, 1), so its root run has at least c + max(target_s, 0)
+    # positions and is kept.
+    cuts = np.minimum(np.arange(n) + max(target_s, 0), target_s + 2 * floors)
+    for m, a, b in _plain_runs(prefix, cuts):
         square3 = range(a, b - m - max(target_s, 0) + 1)
         if m > 1 and (square3 or may_reach(b - a, a, m)):
             bound = gcd_bound(prefix[a : a + m], base)

@@ -3,8 +3,9 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
@@ -13,11 +14,20 @@ from helpers import (
     digit_words,
     integer_brute_force_min,
     naive_brute_force_min,
+    naive_least_ell,
     naive_scan_and_certify,
     random_digit_word,
 )
 from plcword import witness
-from plcword.witness import _bound_text, _candidate_qs, _ell_floor, _fixed_point_bounds
+from plcword.witness import (
+    _bound_text,
+    _candidate_qs,
+    _ell_floor,
+    _ell_floors,
+    _fixed_point_bounds,
+)
+
+FIBONACCI_240 = pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 240)
 
 
 def plant_repetition(rng, length, base=2):
@@ -438,11 +448,66 @@ class TestScanMatchesNaiveScan:
             assert [c.to_json() for c in got] == [c.to_json() for c in want]
 
 
+@st.composite
+def cut_powers(draw):
+    """(word, base): u * j for a random u of 1-6 letters, cut to a random
+    length and with 0-3 letters changed, so that runs of period |u| carry
+    runs whose period word is a proper power."""
+    base = draw(st.integers(2, 5))
+    digit = st.integers(0, base - 1).map(str)
+    u = "".join(draw(st.lists(digit, min_size=1, max_size=6)))
+    word = list((u * draw(st.integers(2, 12)))[: draw(st.integers(1, 40))])
+    for _ in range(draw(st.integers(0, 3))):
+        word[draw(st.integers(0, len(word) - 1))] = draw(digit)
+    return "".join(word), base
+
+
+class TestProperPowerRuns:
+    @given(cut_powers())
+    @example(("0100100100100100100", 2))
+    @settings(max_examples=150, deadline=None)
+    def test_same_certificates_and_json(self, word_base):
+        word, base = word_base
+        for target in range(-3, 6):
+            got = pw.scan_and_certify(word, base, target)
+            want = naive_scan_and_certify(word, base, target)
+            assert got == want, target
+            assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+class TestKernelCut:
+    @pytest.mark.parametrize("base", range(2, 11))
+    def test_floors_match_naive_least_ell(self, base):
+        floors = _ell_floors(5001, base)
+        assert floors.dtype == np.int64
+        assert floors.tolist() == [naive_least_ell(m + 1, base) for m in range(5001)]
+
+    def test_few_plain_runs_leave_the_kernel(self, monkeypatch):
+        # the cut target + 2 alone lets 1,994 plain runs of this word through
+        plain = []
+        period_runs = witness._period_runs
+
+        def logged(word, image, cut):
+            for run in period_runs(word, image, cut):
+                if image == word:
+                    plain.append(run)
+                yield run
+
+        monkeypatch.setattr(witness, "_period_runs", logged)
+        pw.scan_and_certify(FIBONACCI_240, 2, 1)
+        assert 0 < len(plain) <= 300
+
+    @pytest.mark.parametrize("target", [10**30, -(10**30)])
+    def test_targets_past_int64(self, target):
+        word = "0100100100100100100"
+        assert pw.scan_and_certify(word, 2, target) == naive_scan_and_certify(word, 2, target)
+
+
 class TestOneGcdPerRun:
     @pytest.mark.parametrize(
         "word, base",
         [
-            (pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 240), 2),
+            (FIBONACCI_240, 2),
             (random_digit_word(random.Random(3), 200, 2), 2),
             ("0112" * 40, 3),
         ],
@@ -451,12 +516,16 @@ class TestOneGcdPerRun:
     def test_gcd_bound_once_per_run(self, monkeypatch, word, base):
         want = naive_scan_and_certify(word, base, 1)
         runs, gcd_runs, built = [], [], []
-        period_runs = witness._period_runs
 
-        def logged_runs(*args):
-            for run in period_runs(*args):
-                runs.append(run)
-                yield run
+        def log_runs(name):
+            original = getattr(witness, name)
+
+            def logged(*args):
+                for run in original(*args):
+                    runs.append(run)
+                    yield run
+
+            monkeypatch.setattr(witness, name, logged)
 
         def log_calls(name, log, entry):
             original = getattr(witness, name)
@@ -467,7 +536,10 @@ class TestOneGcdPerRun:
 
             monkeypatch.setattr(witness, name, logged)
 
-        monkeypatch.setattr(witness, "_period_runs", logged_runs)
+        # plain runs, kernel and recovered, come from _plain_runs and complement
+        # runs from _period_runs, which logs the kernel's plain runs a second time
+        log_runs("_plain_runs")
+        log_runs("_period_runs")
         log_calls("gcd_bound", gcd_runs, lambda: len(runs))
         log_calls("certificate_from_occurrence", built, lambda: None)
         assert pw.scan_and_certify(word, base, 1) == want

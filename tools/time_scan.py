@@ -6,7 +6,8 @@ it returns, and the seconds to encode them as ``cert`` prints its result
 (``PlcCertificate.to_json`` and the CLI's JSON writer).  The words are the
 first n letters of the Fibonacci word (0 -> 01, 1 -> 0), of the Thue-Morse
 word, and of a seeded random binary word (``random.Random(1)`` drawing
-``choice("01")`` 2**14 times).
+``choice("01")`` max(n, 2**14) times, so its first 2**14 letters do not
+depend on n).
 
 Run from the repository root: ``PYTHONPATH=src python tools/time_scan.py --n 1024``.
 """
@@ -25,11 +26,15 @@ TARGET_S = 1
 
 def words(n: int) -> dict[str, str]:
     rng = random.Random(1)
-    return {
+    drawn = {
         "fibonacci": fixed_point_prefix(parse_morphism("0->01;1->0"), "0", n),
         "thue-morse": thue_morse_prefix(n),
-        "random": "".join(rng.choice("01") for _ in range(2**14))[:n],
+        "random": "".join(rng.choice("01") for _ in range(max(n, 2**14)))[:n],
     }
+    for name, word in drawn.items():
+        if len(word) != n:
+            raise SystemExit(f"{name} word has {len(word)} letters, not {n}")
+    return drawn
 
 
 def main() -> None:
