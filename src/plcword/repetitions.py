@@ -25,8 +25,9 @@ overlap of period m needs m + 1 positions), (r - 1) m + f for r whole
 copies and an f-letter tail, m + f for complement squares, and in the
 certificate scan the least length whose best window can still reach the
 target score (for plain runs, with the gcd floor of a primitive period;
-the scan lists the runs of proper-power periods from their root runs).  So a rejected run costs a few array operations, not a
-Python iteration.
+``witness._plain_runs`` lists the runs of proper-power periods from their
+root runs).  So a rejected run costs a few array operations, not a Python
+iteration.
 
 Along a run the windows of consecutive positions are rotations of each
 other, and gcd(p**m - 1, value(v)) is invariant under rotation of v

@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arithmetic import GcdBound, _least_ell, gcd_bound, word_value
+from .arithmetic import GcdBound, gcd_bound, word_value
 from .repetitions import ComplementOccurrence, RepetitionOccurrence, _period_runs
 from .words import _require_base, complement
 
@@ -245,14 +245,15 @@ class BruteForceResult:
     value_hi: Fraction
 
 
-def _dist_interval(a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
-    """Exact range of ||y|| for y in [a/den, b/den], a <= b."""
+def _dist_interval(a: int, b: int, den: int) -> tuple[int, int]:
+    """Exact range of ||y|| for y in [a/den, b/den], a <= b, as the two
+    integer numerators over 2 den."""
     ra, rb = a % den, b % den
     # an integer in [a, b] / den gives lo = 0, and a half-integer hi = 1/2
-    lo = Fraction(0 if a // den != b // den else min(ra, den - rb), den)
+    lo = 0 if a // den != b // den else 2 * min(ra, den - rb)
     if (den - 2 * ra) % (2 * den) <= 2 * (b - a):  # an odd multiple of den in [2a, 2b]
-        return lo, Fraction(1, 2)
-    return lo, Fraction(max(min(ra, den - ra), min(rb, den - rb)), den)
+        return lo, den
+    return lo, 2 * max(min(ra, den - ra), min(rb, den - rb))
 
 
 def enclosure(prefix: str, base: int, q: int, k: int) -> tuple[Fraction, Fraction]:
@@ -271,7 +272,7 @@ def enclosure(prefix: str, base: int, q: int, k: int) -> tuple[Fraction, Fractio
     den = base ** max(len(prefix) - k, 0)
     a = q * (value % den)
     lo, hi = _dist_interval(a, a + q, den)
-    return q * lo, q * hi
+    return Fraction(q * lo, 2 * den), Fraction(q * hi, 2 * den)
 
 
 # q per numpy block in ``_fixed_point_bounds``, so the prefilter's memory stays flat.
@@ -327,9 +328,9 @@ def brute_force_min(
     """Exact interval minimisation of q * ||q p^k x|| over small q and k.
 
     Reports the pair whose ``enclosure`` has the least upper end, ties
-    broken by smaller k then smaller q.  With den = p**(len-k) and r = q v
-    mod den, that end is q H / (2 den) for an integer H (``_dist_interval``
-    on [r, r + q]), so only the winning pair becomes a ``Fraction``.
+    broken by smaller k then smaller q.  With den = p**(len-k), that end
+    is q H / (2 den) for the integer H that ``_dist_interval`` gives on
+    [q v, q v + q], so only the winning pair becomes a ``Fraction``.
 
     For each k, a fixed-point prefilter (``_candidate_qs``) first encloses
     every q's upper end between integer bounds, a block of q at a time in
@@ -349,17 +350,10 @@ def brute_force_min(
     # every k >= len gives the same enclosures, and ties keep the smaller k
     for k in range(min(max_k, length) + 1):
         den = base ** (length - k)
-        shifted, twice = value % den, 2 * den
+        shifted = value % den
         top, arg = max_q * den + 1, 0
         for q in _candidate_qs(shifted, den, max_q):
-            r = q * shifted % den
-            if (den - 2 * r) % twice <= 2 * q:
-                qh = q * den
-            else:
-                rb = (r + q) % den
-                ra = r if 2 * r < den else den - r
-                rb = rb if 2 * rb < den else den - rb
-                qh = 2 * q * (ra if ra > rb else rb)
+            qh = q * _dist_interval(q * shifted, q * shifted + q, den)[1]
             if qh < top:
                 top, arg = qh, q
         if top * best_den < best_top * den:
@@ -381,23 +375,14 @@ def complement_to_gcd_occurrence(
     return RepetitionOccurrence(occ.position, u, 1, occ.frac_len)
 
 
-def _ell_floor(period: str, base: int) -> int:
-    """A lower bound on ``gcd_bound(period, base).ell`` without a gcd.
-
-    The reduced denominator q of 0.(period) has ord_q(base) = c, the least
-    rotation taking the period to itself, and c < q unless q = c = 1; so
-    base**ell >= q > c or ell >= 1 = c.  The bound is rotation-invariant.
-    """
-    c = (period + period).find(period, 1)
-    return _least_ell(c + 1, base)
-
-
 def _ell_floors(n: int, base: int) -> np.ndarray:
     """``_least_ell(m + 1, base)`` for 0 <= m < n, as an int64 array.
 
-    Entry m is the ``_ell_floor`` of a primitive period of m letters and
-    at least that of any period of m letters (its c is at most m).  It is
-    one more than the number of powers base**1, base**2, ... at most m.
+    Entry m, F(m), is a gcd-free lower bound on ``gcd_bound(v, base).ell``
+    for a primitive period v of m letters: the reduced denominator q of
+    0.(v) has ord_q(base) = m, and m < q unless q = m = 1, so base**ell >= q
+    > m or ell >= 1 = m.  It is one more than the number of powers base**1,
+    base**2, ... at most m.
     """
     powers = [base]
     while powers[-1] < n:
@@ -405,28 +390,43 @@ def _ell_floors(n: int, base: int) -> np.ndarray:
     return np.searchsorted(np.array(powers, dtype=np.int64), np.arange(n), side="right") + 1
 
 
-def _plain_runs(prefix: str, min_len: np.ndarray) -> Iterator[tuple[int, int, int]]:
-    """The runs (m, a, b) of period m in prefix with b - a >= min_len[m],
-    and the shorter runs whose period word is a proper power u**j of the
-    period word of one of them.
+def _plain_runs(prefix: str, base: int, target_s: int) -> Iterator[tuple[int, int, int]]:
+    """The runs (m, a, b) of period m > 1 in prefix that may keep a window
+    at target_s: those with a square3 window (b - a >= m + max(target_s,
+    0)) and those whose longest gcd window, of score b - a - 2 ell, reaches
+    target_s with ell at the gcd-free floor of its period word.
 
-    The stretch prefix[a:b + m] of such a run has period c = |u|, so it is
-    also the stretch of the run (c, a, b + m - c), its root run; and from
-    any run (c, a, b) with b - a > c, every multiple m of c below its
-    stretch's length has the maximal run (m, a, b + c - m) (a letter
-    extending it would extend the run of period c as well).  The kernel
-    yields shifts in increasing order, so the first run with b - a > c to
-    span a stretch is its root, and the multiples the cut dropped are
-    listed from it, once each.
+    The kernel cut keeps the runs that pass with F(m) (``_ell_floors``),
+    the floor of a primitive period of m letters.  A run whose period word
+    is a proper power u**j has the lower floor F(c), c = |u|, so the cut may
+    drop it.  Its stretch prefix[a:b + m] has period c, so it is also the
+    stretch of the run (c, a, b + m - c), its root run; and from any run
+    (c, a, b) with b - a > c, every multiple m of c below its stretch's
+    length has the maximal run (m, a, b + c - m) (a letter extending it
+    would extend the run of period c as well).  The kernel yields shifts in
+    increasing order, so the first run with b - a > c to span a stretch is
+    its root, and the multiples the cut dropped are listed from it, once
+    each, when they pass with F(c).  Such a power has b - a >= target_s + 2,
+    so its root has at least c + max(target_s, 0) positions and passes the
+    cut.  The root's word is primitive: the stretch has more than 2c
+    letters, so by Fine and Wilf (1965) its least period d divides c; the
+    run of period d spans the same stretch, passes the cut whenever the run
+    of period c does, and comes first.  A period of one letter has no
+    window, since every window of it is whole copies, so its runs are only
+    roots.
     """
+    # reach[m]: the least b - a whose longest gcd window reaches target_s at F(m)
+    reach = target_s + 2 * _ell_floors(len(prefix), base)
+    cuts = np.minimum(np.arange(len(prefix)) + max(target_s, 0), reach)
     listed = set()
-    for c, a, b in _period_runs(prefix, prefix, lambda m: min_len[m]):
-        yield c, a, b
+    for c, a, b in _period_runs(prefix, prefix, lambda m: cuts[m]):
+        if c > 1:
+            yield c, a, b
         end = b + c
         if b - a > c and (a, end) not in listed:
             listed.add((a, end))
             for m in range(2 * c, end - a, c):
-                if end - m - a < min_len[m]:
+                if reach[c] <= end - m - a < cuts[m]:
                     yield m, a, end - m
 
 
@@ -442,27 +442,18 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     Works run by run (see ``repetitions``).  The period words along a run
     are rotations of each other and share one ``gcd_bound``, and each
     window's score falls with its position, so the kept windows of a run
-    are one range of positions worked out from the run's end.  A run is
-    skipped without a gcd when it has no window (a one-letter period, or a
-    complement run of at most m positions), or when it has no square3
-    window to keep and its longest gcd window misses target_s even with
-    ell at its gcd-free floor ``_ell_floor``.
-
-    The kernel drops most plain runs before they reach Python: it keeps a
-    run of period m when it has a square3 window or when its longest gcd
-    window reaches target_s with ell at the floor of a primitive period of
-    m letters, ``_ell_floors``.  A run whose period word is a proper power
-    has a lower floor, so the cut may drop it; ``_plain_runs`` lists it
-    again from its root run.  A kept run that passes the floor test needs
-    no ``_ell_floor`` of its own.
+    are one range of positions worked out from the run's end.  Which plain
+    runs can keep a window is decided once, in ``_plain_runs``, and each
+    run it yields takes one gcd.  A complement run that passes the kernel's
+    cut b - a >= m + target_s + 2 (its windows' scores are at most
+    b - a - m - 2 ell) takes one gcd when it has a window, b - a > m.
     """
     n = len(prefix)
     image = complement(prefix, base)  # validates the digits, once
     # every score lies in (-2n, n): a window has at most n letters and ell
     # at most as many as its period; so the clamp keeps the same
-    # certificates, and it keeps the cuts below within int64
+    # certificates, and it keeps the cuts of the kernel within int64
     target_s = min(max(target_s, -2 * n), n)
-    floors = _ell_floors(n, base)
     # the period text is prefix[pos:pos + period_len], so these ints name a window
     seen: dict[tuple[str, int, int, int], PlcCertificate] = {}
 
@@ -474,38 +465,23 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
             )
             seen[key] = certificate_from_occurrence(prefix, occ, base, kind, bound)
 
-    def may_reach(slack: int, a: int, period_len: int) -> bool:
-        # the run's best gcd score is at most slack - 2 ell, and the floor of
-        # ell is at most floors[period_len]
-        return slack - 2 * int(floors[period_len]) >= target_s or (
-            slack - 2 >= target_s
-            and slack - 2 * _ell_floor(prefix[a : a + period_len], base) >= target_s
-        )
-
     # the window at pos has m + b - pos letters, so s = b - pos - 2 ell for
-    # gcd and b - pos - m for square3; windows of whole copies are skipped,
-    # so a period of one letter keeps none.  The kernel's cut keeps the runs
-    # with a square3 window or with b - a - 2 floors[m] >= target_s.  A cut
-    # run of period j c that may still reach target_s has b - a at least
-    # max(target_s + 2, 1), so its root run has at least c + max(target_s, 0)
-    # positions and is kept.
-    cuts = np.minimum(np.arange(n) + max(target_s, 0), target_s + 2 * floors)
-    for m, a, b in _plain_runs(prefix, cuts):
+    # gcd and b - pos - m for square3; windows of whole copies are skipped
+    for m, a, b in _plain_runs(prefix, base, target_s):
+        bound = gcd_bound(prefix[a : a + m], base)
+        plain = range(a, b - max(target_s + 2 * bound.ell, 1) + 1)
         square3 = range(a, b - m - max(target_s, 0) + 1)
-        if m > 1 and (square3 or may_reach(b - a, a, m)):
-            bound = gcd_bound(prefix[a : a + m], base)
-            plain = range(a, b - max(target_s + 2 * bound.ell, 1) + 1)
-            for kind, kept in ((KIND_GCD, plain), (KIND_SQUARE3, square3)):
-                for pos in kept:
-                    if (b - pos) % m:
-                        keep(kind, pos, m, m + b - pos, bound)
+        for kind, kept in ((KIND_GCD, plain), (KIND_SQUARE3, square3)):
+            for pos in kept:
+                if (b - pos) % m:
+                    keep(kind, pos, m, m + b - pos, bound)
 
     # a window starts at each pos < b - m: the period prefix[pos:pos + 2m]
     # is v v~ and the window adds its first f = min(m, b - pos - m) letters,
-    # so s = f - 2 ell <= m - 2 ell; the cut is may_reach's ell = 1 test on
-    # its slack b - a - m
+    # so s = f - 2 ell is at most b - a - m - 2 (the kernel's cut, as ell >= 1)
+    # and at most m - 2 ell (tested once the gcd is known)
     for m, a, b in _period_runs(prefix, image, lambda m: m + target_s + 2):
-        if b - a > m and may_reach(min(m, b - a - m), a, 2 * m):
+        if b - a > m:
             bound = gcd_bound(prefix[a : a + 2 * m], base)
             if m - 2 * bound.ell >= target_s:
                 for pos in range(a, b - m - max(target_s + 2 * bound.ell, 1) + 1):

@@ -78,6 +78,13 @@ def naive_least_ell(x: int, base: int) -> int:
     return ell
 
 
+def root_length(word: str) -> int:
+    """Length of the primitive root of a non-empty word: the least c with
+    word == word[:c] * (len(word) // c)."""
+    n = len(word)
+    return next(c for c in range(1, n + 1) if n % c == 0 and word[:c] * (n // c) == word)
+
+
 def naive_find_overlaps(word: str) -> list[tuple[int, str, str]]:
     """All-substrings oracle, in (position, pattern length) order."""
     found = []

@@ -15,16 +15,18 @@ from helpers import (
     integer_brute_force_min,
     naive_brute_force_min,
     naive_least_ell,
+    naive_period_runs,
     naive_scan_and_certify,
     random_digit_word,
+    root_length,
 )
 from plcword import witness
 from plcword.witness import (
     _bound_text,
     _candidate_qs,
-    _ell_floor,
     _ell_floors,
     _fixed_point_bounds,
+    _plain_runs,
 )
 
 FIBONACCI_240 = pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 240)
@@ -475,6 +477,23 @@ class TestProperPowerRuns:
             assert [c.to_json() for c in got] == [c.to_json() for c in want]
 
 
+class TestPlainRuns:
+    @given(cut_powers())
+    @example(("0100100100100100100", 2))
+    @settings(max_examples=150, deadline=None)
+    def test_yields_the_runs_that_may_reach_the_target(self, word_base):
+        # m > 1, and a square3 window or a gcd window reaching the target with
+        # ell at the floor of the period's primitive root; each run once
+        word, base = word_base
+        for target in range(-3, 6):
+            want = []
+            for m, a, b in naive_period_runs(word, word):
+                floor = naive_least_ell(root_length(word[a : a + m]) + 1, base)
+                if m > 1 and (b - a >= m + max(target, 0) or b - a >= target + 2 * floor):
+                    want.append((m, a, b))
+            assert sorted(_plain_runs(word, base, target)) == sorted(want), target
+
+
 class TestKernelCut:
     @pytest.mark.parametrize("base", range(2, 11))
     def test_floors_match_naive_least_ell(self, base):
@@ -572,7 +591,9 @@ class TestRotationInvariance:
     def test_gcd_bound_is_rotation_invariant(self, base_period):
         base, period = base_period
         first = pw.gcd_bound(period, base)
-        assert _ell_floor(period, base) <= first.ell
+        # the floor a proper power's run is kept with in _plain_runs
+        c = root_length(period)
+        assert _ell_floors(c + 1, base)[c] <= first.ell
         for j in range(1, len(period)):
             rotated = pw.gcd_bound(period[j:] + period[:j], base)
             assert (rotated.d, rotated.q_max, rotated.ell) == (first.d, first.q_max, first.ell)
