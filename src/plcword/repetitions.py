@@ -24,10 +24,10 @@ weakest length every run it uses must have: m + 1 for overlaps (an
 overlap of period m needs m + 1 positions), (r - 1) m + f for r whole
 copies and an f-letter tail, m + f for complement squares, and in the
 certificate scan the least length whose best window can still reach the
-target score (for plain runs, with the gcd floor of a primitive period;
-``witness._plain_runs`` lists the runs of proper-power periods from their
-root runs).  So a rejected run costs a few array operations, not a Python
-iteration.
+target score (with the gcd floor of a primitive period; the scan reads
+only plain runs, and ``witness._plain_runs`` lists the runs of
+proper-power periods from their root runs).  So a rejected run costs a
+few array operations, not a Python iteration.
 
 Along a run the windows of consecutive positions are rotations of each
 other, and gcd(p**m - 1, value(v)) is invariant under rotation of v
@@ -396,6 +396,8 @@ def find_fractional_squares(
         raise ValueError("min_frac must be at least 1")
     if squares not in (2, 3):
         raise ValueError("squares must be 2 or 3")
+    # no tail reaches n letters: the clamp keeps the kernel's cut within int64
+    min_frac = min(min_frac, len(word))
     whole = squares - 2  # whole copies past the first that a window needs
 
     def positions(m: int, a: int, b: int) -> list[int]:
@@ -418,6 +420,7 @@ def find_complement_squares(
     by position then period."""
     if min_frac < 1:
         raise ValueError("min_frac must be at least 1")
+    min_frac = min(min_frac, len(word))  # as in ``find_fractional_squares``
 
     def positions(m: int, a: int, b: int) -> range:
         # f = min(m, b - pos - m) reaches min_frac up to pos = b - m - min_frac

@@ -413,7 +413,9 @@ def _plain_runs(prefix: str, base: int, target_s: int) -> Iterator[tuple[int, in
     run of period d spans the same stretch, passes the cut whenever the run
     of period c does, and comes first.  A period of one letter has no
     window, since every window of it is whole copies, so its runs are only
-    roots.
+    roots.  A run whose period word is v v~ and that holds a v v~ v window
+    (score h - 2 ell, h = |v|) is yielded, since its longest gcd window
+    scores b - a - 2 ell > h - 2 ell.
     """
     # reach[m]: the least b - a whose longest gcd window reaches target_s at F(m)
     reach = target_s + 2 * _ell_floors(len(prefix), base)
@@ -442,11 +444,22 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     Works run by run (see ``repetitions``).  The period words along a run
     are rotations of each other and share one ``gcd_bound``, and each
     window's score falls with its position, so the kept windows of a run
-    are one range of positions worked out from the run's end.  Which plain
-    runs can keep a window is decided once, in ``_plain_runs``, and each
-    run it yields takes one gcd.  A complement run that passes the kernel's
-    cut b - a >= m + target_s + 2 (its windows' scores are at most
-    b - a - m - 2 ell) takes one gcd when it has a window, b - a > m.
+    are one range of positions worked out from the run's end.  Which runs
+    can keep a window is decided once, in ``_plain_runs``, and each run it
+    yields takes one gcd.
+
+    Complement squares need no pass of their own.  A complement run
+    (h, a, b + h), with prefix[j + h] the complement of prefix[j] for
+    a <= j < b + h and b > a, is the plain run (2h, a, b) whose period word
+    v v~ has prefix[a + h:a + 2h] equal to the complement of v =
+    prefix[a:a + h]: applying the relation twice gives period 2h, and a
+    letter extending either run would extend the other.  Its complement
+    window at pos has the tail f = min(h, b - pos); for pos >= b - h that is
+    the plain gcd window at pos, and only v v~ v at pos < b - h, of 3h
+    letters and score h - 2 ell, is new.  The run's longest gcd window
+    scores b - a - 2 ell, more than that, so ``_plain_runs`` yields every
+    run that holds one.  So each certificate comes from one run, position
+    and kind, and the sort key is unique to it.
     """
     n = len(prefix)
     image = complement(prefix, base)  # validates the digits, once
@@ -454,16 +467,13 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     # at most as many as its period; so the clamp keeps the same
     # certificates, and it keeps the cuts of the kernel within int64
     target_s = min(max(target_s, -2 * n), n)
-    # the period text is prefix[pos:pos + period_len], so these ints name a window
-    seen: dict[tuple[str, int, int, int], PlcCertificate] = {}
+    certs: list[PlcCertificate] = []
 
     def keep(kind: str, pos: int, period_len: int, window_len: int, bound: GcdBound) -> None:
-        key = (kind, pos, period_len, window_len)
-        if key not in seen:
-            occ = RepetitionOccurrence(
-                pos, prefix[pos : pos + period_len], *divmod(window_len, period_len)
-            )
-            seen[key] = certificate_from_occurrence(prefix, occ, base, kind, bound)
+        occ = RepetitionOccurrence(
+            pos, prefix[pos : pos + period_len], *divmod(window_len, period_len)
+        )
+        certs.append(certificate_from_occurrence(prefix, occ, base, kind, bound))
 
     # the window at pos has m + b - pos letters, so s = b - pos - 2 ell for
     # gcd and b - pos - m for square3; windows of whole copies are skipped
@@ -475,19 +485,10 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
             for pos in kept:
                 if (b - pos) % m:
                     keep(kind, pos, m, m + b - pos, bound)
+        h = m // 2
+        # a period word v v~: the windows v v~ v before the run's last h positions
+        if not m % 2 and h - 2 * bound.ell >= target_s and prefix[a + h : a + m] == image[a : a + h]:
+            for pos in range(a, b - h):
+                keep(KIND_GCD, pos, m, 3 * h, bound)
 
-    # a window starts at each pos < b - m: the period prefix[pos:pos + 2m]
-    # is v v~ and the window adds its first f = min(m, b - pos - m) letters,
-    # so s = f - 2 ell is at most b - a - m - 2 (the kernel's cut, as ell >= 1)
-    # and at most m - 2 ell (tested once the gcd is known)
-    for m, a, b in _period_runs(prefix, image, lambda m: m + target_s + 2):
-        if b - a > m:
-            bound = gcd_bound(prefix[a : a + 2 * m], base)
-            if m - 2 * bound.ell >= target_s:
-                for pos in range(a, b - m - max(target_s + 2 * bound.ell, 1) + 1):
-                    keep(KIND_GCD, pos, 2 * m, 2 * m + min(m, b - pos - m), bound)
-
-    return sorted(
-        seen.values(),
-        key=lambda c: (-c.s, c.k, c.occurrence.period, c.kind),
-    )
+    return sorted(certs, key=lambda c: (-c.s, c.k, c.occurrence.period, c.kind))

@@ -197,6 +197,12 @@ class TestDetect:
         assert (code, out) == (2, "")
         assert err == f"error: --limit must be at least 1, got {limit}\n"
 
+    @pytest.mark.parametrize("kind", ["square", "complement"])
+    def test_min_frac_past_int64(self, capsys, kind):
+        path = str(GOLDEN_INPUTS / "fib40.txt")
+        doc = run_json(capsys, "detect", "--digits", path, "--kind", kind, "--min-frac", str(10**23))
+        assert doc["result"]["occurrences"] == []
+
     def test_base_out_of_range(self, capsys, digits_file):
         path = digits_file("0")
         code, _, err = run_cli(capsys, "detect", "--digits", path, "--p", "1")

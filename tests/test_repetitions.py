@@ -235,6 +235,14 @@ class TestRunKernelOracles:
         got = pw.find_complement_squares(word, base, min_frac)
         assert got == naive_complement_squares(word, base, min_frac)
 
+    @pytest.mark.parametrize("min_frac", [10**30, 2**63 - 1], ids=["10**30", "2**63-1"])
+    def test_min_frac_past_int64(self, min_frac):
+        word = pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 40)
+        got = pw.find_fractional_squares(word, min_frac, 2)
+        assert got == naive_fractional_squares(word, min_frac, 2) == []
+        got = pw.find_complement_squares(word, 2, min_frac)
+        assert got == naive_complement_squares(word, 2, min_frac) == []
+
     @given(digit_words())
     @settings(max_examples=200, deadline=None)
     def test_overlap_finders_match_naive_scans(self, word_base):
@@ -285,7 +293,7 @@ KERNEL_CUTS = {
     "every run": lambda m: 1,
     "scan, target 2": lambda m: 4,
     "overlaps": lambda m: m + 1,
-    "complement scan, target 1": lambda m: m + 3,
+    "complement squares, min_frac 3": lambda m: m + 3,
     "steep": lambda m: 2 * m + 1,
 }
 

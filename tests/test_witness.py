@@ -452,12 +452,15 @@ class TestScanMatchesNaiveScan:
 
 @st.composite
 def cut_powers(draw):
-    """(word, base): u * j for a random u of 1-6 letters, cut to a random
-    length and with 0-3 letters changed, so that runs of period |u| carry
-    runs whose period word is a proper power."""
+    """(word, base): u * j for a random u of 1-6 letters, or u = v v~ with
+    v of 1-3 letters, cut to a random length and with 0-3 letters changed,
+    so that runs of period |u| carry runs whose period word is a proper
+    power, and runs of a v v~ word hold complement windows."""
     base = draw(st.integers(2, 5))
     digit = st.integers(0, base - 1).map(str)
     u = "".join(draw(st.lists(digit, min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        u = u[:3] + pw.complement(u[:3], base)
     word = list((u * draw(st.integers(2, 12)))[: draw(st.integers(1, 40))])
     for _ in range(draw(st.integers(0, 3))):
         word[draw(st.integers(0, len(word) - 1))] = draw(digit)
@@ -536,15 +539,10 @@ class TestOneGcdPerRun:
         want = naive_scan_and_certify(word, base, 1)
         runs, gcd_runs, built = [], [], []
 
-        def log_runs(name):
-            original = getattr(witness, name)
-
-            def logged(*args):
-                for run in original(*args):
-                    runs.append(run)
-                    yield run
-
-            monkeypatch.setattr(witness, name, logged)
+        def logged_runs(*args):
+            for run in plain_runs(*args):
+                runs.append(run)
+                yield run
 
         def log_calls(name, log, entry):
             original = getattr(witness, name)
@@ -555,15 +553,14 @@ class TestOneGcdPerRun:
 
             monkeypatch.setattr(witness, name, logged)
 
-        # plain runs, kernel and recovered, come from _plain_runs and complement
-        # runs from _period_runs, which logs the kernel's plain runs a second time
-        log_runs("_plain_runs")
-        log_runs("_period_runs")
+        plain_runs = witness._plain_runs
+        monkeypatch.setattr(witness, "_plain_runs", logged_runs)
         log_calls("gcd_bound", gcd_runs, lambda: len(runs))
         log_calls("certificate_from_occurrence", built, lambda: None)
         assert pw.scan_and_certify(word, base, 1) == want
-        # one gcd per run, plain and complement runs alike, square3 and gcd kinds alike
-        assert len(gcd_runs) == len(set(gcd_runs)) <= len(runs)
+        # each run yielded takes one gcd, before the next one, and no gcd is
+        # taken elsewhere: complement windows come from these runs too
+        assert runs and gcd_runs == list(range(1, len(runs) + 1))
         assert len(gcd_runs) < len(built)
 
 

@@ -2,12 +2,13 @@
 
 For a length n, prints one line per word: the seconds one
 ``scan_and_certify(word, 2, 1)`` call takes, the number of certificates
-it returns, and the seconds to encode them as ``cert`` prints its result
-(``PlcCertificate.to_json`` and the CLI's JSON writer).  The words are the
-first n letters of the Fibonacci word (0 -> 01, 1 -> 0), of the Thue-Morse
-word, and of a seeded random binary word (``random.Random(1)`` drawing
-``choice("01")`` max(n, 2**14) times, so its first 2**14 letters do not
-depend on n).
+it returns, the seconds to encode them as ``cert`` prints its result
+(``PlcCertificate.to_json`` and the CLI's JSON writer), and the sha256 of
+that JSON text, which shows whether a change to the scan keeps its bytes.
+The words are the first n letters of the Fibonacci word (0 -> 01,
+1 -> 0), of the Thue-Morse word, and of a seeded random binary word
+(``random.Random(1)`` drawing ``choice("01")`` max(n, 2**14) times, so its
+first 2**14 letters do not depend on n).
 
 Run from the repository root: ``PYTHONPATH=src python tools/time_scan.py --n 1024``.
 """
@@ -15,6 +16,7 @@ Run from the repository root: ``PYTHONPATH=src python tools/time_scan.py --n 102
 from __future__ import annotations
 
 import argparse
+import hashlib
 import random
 import time
 
@@ -45,11 +47,12 @@ def main() -> None:
         start = time.perf_counter()
         certs = scan_and_certify(word, 2, TARGET_S)
         scanned = time.perf_counter()
-        _dumps({"certificates": [c.to_json() for c in certs]})
+        text = _dumps({"certificates": [c.to_json() for c in certs]})
         encoded = time.perf_counter()
         print(
             f"{name:<10} n={n:<6} {scanned - start:8.3f} s  {len(certs):>7,} certificates"
             f"  {encoded - scanned:7.3f} s to encode"
+            f"  sha256 {hashlib.sha256(text.encode()).hexdigest()}"
         )
 
 
