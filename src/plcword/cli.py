@@ -11,7 +11,7 @@ import dataclasses
 import functools
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
 
 from . import arithmetic, cf, classify, repetitions, tm, witness, words
 
@@ -230,14 +230,44 @@ def _scalars(values) -> bool:
     return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
 
 
+def _rows(obj, level: int) -> str | None:
+    """``_dumps`` of a list of dicts that share their str keys, in order, and
+    hold only scalars, with one encoder call over all the values; else None.
+
+    Every value is encoded at once with a newline as the item separator, so
+    the text splits into one piece per value: no encoded scalar holds a raw
+    newline (``ensure_ascii`` escapes it).  The pieces are then interleaved
+    with the indented ``"key": `` heads.  A str key equals no key of another
+    JSON type, and no dict holds a key twice, so the chained keys of all the
+    rows equal the first row's keys repeated only if every row has exactly
+    those keys in that order.
+    """
+    if set(map(type, obj)) != {dict}:
+        return None
+    keys = list(obj[0])
+    if set(map(type, keys)) != {str} or list(chain.from_iterable(obj)) != keys * len(obj):
+        return None
+    values = list(chain.from_iterable(map(dict.values, obj)))
+    if not _scalars(values):
+        return None
+    outer, inner, deeper = ("\n" + "  " * (level + d) for d in range(3))
+    pieces = iter(json.JSONEncoder(separators=("\n", ": ")).encode(values)[1:-1].split("\n"))
+    heads = ["," + deeper + _encode(0)(key) + ": " for key in keys]
+    heads[0] = inner + "}," + inner + "{" + heads[0][1:]
+    # zip(repeat(head_0), pieces, repeat(head_1), pieces, ...) yields one row at a time
+    columns = chain.from_iterable((repeat(head), pieces) for head in heads)
+    body = "".join(chain.from_iterable(zip(*columns)))
+    return "[" + body[len(inner) + 2:] + inner + "}" + outer + "]"
+
+
 def _dumps(obj, level: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, with the C encoder doing the work.
 
     A dict or list of scalars is one encoder call a level deeper, its
-    brackets then moved onto their own lines.  So is a list of non-empty
-    dicts of scalars: its rows meet at "}" + separator + "{", which nothing
-    else can spell (an encoded string holds no raw newline, and a key starts
-    with a quote).  Anything else recurses.
+    brackets then moved onto their own lines.  A list of dicts of scalars
+    that share their str keys in order, such as certificates or ``orbit``
+    rows, is one encoder call over the flat list of all their values
+    (``_rows``).  Anything else recurses.
     """
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _encode(0)(obj)
@@ -246,22 +276,14 @@ def _dumps(obj, level: int = 0) -> str:
     if _scalars(obj.values() if is_dict else obj):
         text = _encode(level + 1)(obj)
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    if (
-        not is_dict
-        and all(issubclass(t, dict) for t in set(map(type, obj)))
-        and all(obj)
-        and _scalars(chain.from_iterable(map(dict.values, obj)))
-    ):
-        deeper = "\n" + "  " * (level + 2)
-        rows = _encode(level + 2)(obj)[2:-2]
-        rows = rows.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        return "[" + inner + "{" + deeper + rows + inner + "}" + outer + "]"
     if is_dict:
         # the key as json writes it: a str, or an int, float, bool or None as text
         items = (_encode(0)({key: None})[1:-7] + ": " + _dumps(value, level + 1)
                  for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + outer + "}"
-    return "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in obj) + outer + "]"
+    return _rows(obj, level) or (
+        "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in obj) + outer + "]"
+    )
 
 
 @functools.cache

@@ -63,6 +63,7 @@ code points, as in ``_period_runs``, so any alphabet works.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
@@ -189,7 +190,8 @@ def _first_by_position(
         for pos in positions(*run):
             by_position[pos].append(run)
     occs = (build(pos, m, b) for pos, runs in enumerate(by_position) for m, _, b in runs)
-    return list(islice(occs, limit))
+    # islice takes no stop past sys.maxsize, and no word has that many occurrences
+    return list(islice(occs, limit if limit is None else min(limit, sys.maxsize)))
 
 
 def find_overlaps(word: str, limit: int | None = None) -> list[OverlapOccurrence]:

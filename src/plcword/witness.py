@@ -42,7 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from .arithmetic import GcdBound, gcd_bound, word_value
-from .repetitions import ComplementOccurrence, RepetitionOccurrence, _period_runs
+from .repetitions import RepetitionOccurrence, _period_runs
 from .words import _require_base, complement
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "brute_force_min",
     "enclosure",
     "scan_and_certify",
-    "complement_to_gcd_occurrence",
 ]
 
 KIND_SQUARE3 = "square3"
@@ -360,19 +359,6 @@ def brute_force_min(
             best_top, best_den, best_q, best_k = top, den, arg, k
     lo, hi = enclosure(prefix, base, best_q, best_k)
     return BruteForceResult(q=best_q, k=best_k, value_lo=lo, value_hi=hi)
-
-
-def complement_to_gcd_occurrence(
-    occ: ComplementOccurrence, base: int
-) -> RepetitionOccurrence:
-    """Recast v v~ v[:f] as one copy of the period u = v v~ plus u[:f].
-
-    Valid because f <= |v|, so v[:f] is also a prefix of u; the complement
-    structure then pays off through gcd(p**(2m) - 1, value(u)), which the
-    divisibility identity makes at least p**m - 1.
-    """
-    u = occ.period_word + complement(occ.period_word, base)
-    return RepetitionOccurrence(occ.position, u, 1, occ.frac_len)
 
 
 def _ell_floors(n: int, base: int) -> np.ndarray:

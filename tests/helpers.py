@@ -26,7 +26,6 @@ from plcword import (
     certificate_from_occurrence,
     cf_expand,
     complement,
-    complement_to_gcd_occurrence,
     enclosure,
     prefix_value,
     tm_constant,
@@ -198,6 +197,19 @@ def naive_complement_squares(
             if f >= min_frac:
                 found.append(ComplementOccurrence(pos, v, f))
     return found
+
+
+def complement_to_gcd_occurrence(
+    occ: ComplementOccurrence, base: int
+) -> RepetitionOccurrence:
+    """Recast v v~ v[:f] as one copy of the period u = v v~ plus u[:f].
+
+    Valid because f <= |v|, so v[:f] is also a prefix of u; the complement
+    structure then pays off through gcd(p**(2m) - 1, value(u)), which the
+    divisibility identity makes at least p**m - 1.
+    """
+    u = occ.period_word + complement(occ.period_word, base)
+    return RepetitionOccurrence(occ.position, u, 1, occ.frac_len)
 
 
 def naive_scan_and_certify(prefix: str, base: int, target_s: int) -> list:

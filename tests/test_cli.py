@@ -203,6 +203,13 @@ class TestDetect:
         doc = run_json(capsys, "detect", "--digits", path, "--kind", kind, "--min-frac", str(10**23))
         assert doc["result"]["occurrences"] == []
 
+    @pytest.mark.parametrize("kind", ["square", "complement", "overlap"])
+    def test_limit_past_int64_keeps_every_occurrence(self, capsys, kind):
+        argv = ("detect", "--digits", str(GOLDEN_INPUTS / "fib40.txt"), "--kind", kind)
+        whole = run_json(capsys, *argv)["result"]
+        assert run_json(capsys, *argv, "--limit", str(10**23))["result"] == whole
+        assert all(whole.values())
+
     def test_base_out_of_range(self, capsys, digits_file):
         path = digits_file("0")
         code, _, err = run_cli(capsys, "detect", "--digits", path, "--p", "1")
@@ -526,10 +533,38 @@ SCALARS = st.one_of(
     TRICKY_TEXT,
 )
 KEYS = st.one_of(TRICKY_TEXT, st.text(), st.integers(), st.booleans(), st.none())
-# lists of non-empty dicts of scalars, like certificate lists
+# lists of non-empty dicts of scalars, each with its own keys
 ROWS = st.lists(st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+@st.composite
+def same_keyed_rows(draw):
+    """Rows with one drawn list of str keys, like certificates or orbit rows,
+    sometimes with one row's keys reordered, one key missing or extra, one
+    key not a str, or one value nested."""
+    keys = draw(st.lists(TRICKY_TEXT | st.sampled_from(["%", "%s"]), min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(1, 5))
+    values = draw(st.lists(SCALARS, min_size=count * len(keys), max_size=count * len(keys)))
+    rows = [dict(zip(keys, values[i * len(keys):])) for i in range(count)]
+    mutation = draw(st.sampled_from([None, None, "reorder", "missing", "extra", "non-str", "nested"]))
+    i = draw(st.integers(0, count - 1))
+    key = draw(st.sampled_from(keys))
+    if mutation == "reorder":
+        rows[i] = dict(reversed(rows[i].items()))
+    elif mutation == "missing":
+        del rows[i][key]
+    elif mutation == "extra":
+        rows[i][draw(TRICKY_TEXT.filter(lambda k: k not in keys))] = draw(SCALARS)
+    elif mutation == "non-str":
+        other = draw(st.one_of(st.integers(), st.booleans(), st.none(), st.floats()))
+        rows[i] = {other if k == key else k: v for k, v in rows[i].items()}
+    elif mutation == "nested":
+        rows[i][key] = draw(st.sampled_from([[], {}, [rows[i][key]], {key: rows[i][key]}]))
+    return draw(st.sampled_from([rows, tuple(rows)]))
+
+
 JSON_VALUES = st.recursive(
-    SCALARS | ROWS,
+    SCALARS | ROWS | same_keyed_rows(),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -559,6 +594,8 @@ class TestWriter:
             {}, [], (), [{}], [[]], {"a": {}}, [{"a": {}}, {"b": 2}], [{"a": 1}, {}],
             [{"a": "},\n      {"}, {"b": None}], ({"a": (1, 2)},), {"x": [{"a": True}], 3: [1.5]},
             [{"k": 10**4400}], {"deep": [[[{"a": [1]}]]]},
+            [{"a": 1}, {"a": 10**4400}], [{"a": float("nan")}, {"a": float("inf")}],
+            ({"k": 1}, {"k": 2}), [{"b": 1, "a": 2}, {"a": 2, "b": 1}], [{1: 2}, {True: 2}],
         ],
     )
     def test_edge_cases(self, obj):

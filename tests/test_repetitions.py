@@ -243,6 +243,16 @@ class TestRunKernelOracles:
         got = pw.find_complement_squares(word, 2, min_frac)
         assert got == naive_complement_squares(word, 2, min_frac) == []
 
+    @pytest.mark.parametrize("kind", ["overlap", "square", "complement"])
+    def test_limit_past_int64_keeps_every_occurrence(self, kind):
+        word = pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 40)
+        find = {
+            "overlap": lambda limit: pw.find_overlaps(word, limit),
+            "square": lambda limit: pw.find_fractional_squares(word, 1, 2, limit),
+            "complement": lambda limit: pw.find_complement_squares(word, 2, 1, limit),
+        }[kind]
+        assert find(10**30) == find(None) != []
+
     @given(digit_words())
     @settings(max_examples=200, deadline=None)
     def test_overlap_finders_match_naive_scans(self, word_base):
