@@ -17,9 +17,7 @@ from .words import _require_base, _require_digits, complement
 
 __all__ = [
     "word_value",
-    "int_to_word",
     "prefix_value",
-    "periodic_value",
     "GcdBound",
     "gcd_bound",
     "dist_nearest_int",
@@ -39,20 +37,6 @@ def word_value(word: str, base: int) -> int:
     return int(word, base)
 
 
-def int_to_word(value: int, base: int) -> str:
-    """Base-n representation without leading zeros ("0" for zero)."""
-    _require_base(base)
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if value == 0:
-        return "0"
-    digits = []
-    while value:
-        value, d = divmod(value, base)
-        digits.append(str(d))
-    return "".join(reversed(digits))
-
-
 def prefix_value(word: str, base: int) -> Fraction:
     """Value of the terminating expansion 0.word; every infinite extension
     lies in [prefix_value, prefix_value + base**-len(word)]."""
@@ -60,15 +44,6 @@ def prefix_value(word: str, base: int) -> Fraction:
     if not word:
         return Fraction(0)
     return Fraction(int(word, base), base ** len(word))
-
-
-def periodic_value(word: str, base: int) -> Fraction:
-    """Value of the purely periodic expansion 0.word word word ...
-
-    Equals word_value / (base**len - 1); the reduced denominator divides
-    base**len - 1.
-    """
-    return Fraction(word_value(word, base), base ** len(word) - 1)
 
 
 @dataclass(frozen=True)

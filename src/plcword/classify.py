@@ -19,7 +19,6 @@ returned as P2 or P3 is confirmed against a generated prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from .repetitions import OverlapOccurrence, first_overlap
 from .tm import thue_morse_prefix
@@ -29,18 +28,12 @@ from .words import (
     PeriodicStream,
     WordStream,
     _grows_unboundedly,
-    mortal_letters,
 )
 
 __all__ = [
     "grows_unboundedly",
-    "growth_classes",
     "Classification",
     "classify_binary",
-    "restrict_to_subalphabet",
-    "RecurrenceResult",
-    "empirical_recurrence",
-    "word_distance",
 ]
 
 _SEARCH_CAP = 1 << 20
@@ -53,20 +46,6 @@ def grows_unboundedly(m: Morphism, letter: str) -> bool:
     letter reachable from it, with mortal letters erased, has an image of
     two or more letters."""
     return _grows_unboundedly(m, letter)
-
-
-def growth_classes(m: Morphism) -> dict[str, str]:
-    """Partition of the alphabet into mortal, bounded, and growing letters."""
-    mortal = mortal_letters(m)
-    out = {}
-    for a in sorted(m.alphabet):
-        if a in mortal:
-            out[a] = "mortal"
-        elif grows_unboundedly(m, a):
-            out[a] = "growing"
-        else:
-            out[a] = "bounded"
-    return out
 
 
 @dataclass(frozen=True)
@@ -192,56 +171,3 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
     if occ is not None and grows_unboundedly(m, occ.u):
         return Classification(tag="P3", overlap=occ, growing_letter=occ.u)
     return Classification(tag="UNRESOLVED", depth_checked=depth)
-
-
-def restrict_to_subalphabet(m: Morphism, letters) -> Morphism | None:
-    """The restriction of the morphism to a sub-alphabet it preserves,
-    or None when some image escapes the sub-alphabet."""
-    sub = frozenset(letters)
-    if not sub <= m.alphabet:
-        raise ValueError("letters must form a sub-alphabet")
-    if not sub:
-        return None
-    restricted = {a: m.images[a] for a in sub}
-    for image in restricted.values():
-        if any(ch not in sub for ch in image):
-            return None
-    return Morphism(restricted)
-
-
-@dataclass(frozen=True)
-class RecurrenceResult:
-    window: int
-
-
-def empirical_recurrence(prefix: str, n: int) -> RecurrenceResult:
-    """Smallest N such that every length-N window of the prefix contains
-    every length-n subword occurring in the prefix.
-
-    Computed from the occurrence gaps of each subword.  A finite prefix is
-    itself a window, so N <= len(prefix).
-    """
-    if n < 1 or n > len(prefix):
-        raise ValueError("need 1 <= n <= len(prefix)")
-    length = len(prefix)
-    positions: dict[str, list[int]] = {}
-    for i in range(length - n + 1):
-        positions.setdefault(prefix[i : i + n], []).append(i)
-    needed = n
-    for occs in positions.values():
-        needed = max(needed, n + occs[0], length - occs[-1])
-        for prev, nxt in zip(occs, occs[1:]):
-            needed = max(needed, n - 1 + nxt - prev)
-    return RecurrenceResult(needed)
-
-
-def word_distance(x: str, y: str) -> Fraction:
-    """2**-(length of the longest common prefix); 0 for identical words."""
-    if x == y:
-        return Fraction(0)
-    shared = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        shared += 1
-    return Fraction(1, 2**shared)

@@ -86,7 +86,7 @@ def _cmd_verify(args) -> dict:
         results.append({
             "combinatorial_ok": res.combinatorial_ok,
             "window_checked": res.window_checked,
-            # from_json checked the field against p**-s, res.guaranteed_bound when set
+            # from_json checked the field against p**-s, with s worked out from the window
             "guaranteed_bound": data["bound"] if res.combinatorial_ok else None,
         })
     return {"results": results} if "certificates" in payload else results[0]

@@ -1,8 +1,7 @@
 """Repetition structures in finite words.
 
-Detects overlaps u X u X u (u a letter), fractional squares v^r v[:f], the
-complement variant v v~ v[:f] over a digit alphabet, and longest
-overlap-free subwords.
+Detects overlaps u X u X u (u a letter), fractional squares v^r v[:f] and the
+complement variant v v~ v[:f] over a digit alphabet.
 
 Every finder, and the certificate scan in ``witness``, reads one kernel,
 ``_period_runs``: for each shift m it yields the maximal runs [a, b) of
@@ -66,7 +65,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,13 +76,11 @@ __all__ = [
     "RepetitionOccurrence",
     "OverlapOccurrence",
     "ComplementOccurrence",
-    "SubwordSpan",
     "find_overlaps",
     "first_overlap",
     "is_overlap_free",
     "find_fractional_squares",
     "find_complement_squares",
-    "longest_overlap_free_subword",
 ]
 
 
@@ -168,11 +165,6 @@ class ComplementOccurrence:
             "frac_len": self.frac_len,
             "complement": True,
         }
-
-
-class SubwordSpan(NamedTuple):
-    position: int
-    length: int
 
 
 def _first_by_position(
@@ -434,24 +426,3 @@ def find_complement_squares(
     return _first_by_position(
         word, complement(word, base), lambda m: m + min_frac, positions, build, limit
     )
-
-
-def longest_overlap_free_subword(word: str) -> SubwordSpan:
-    """The leftmost longest contiguous overlap-free subword.
-
-    A window is overlap-free iff no overlap lies inside it, so it is enough
-    to know the last start of an overlap ending at each index: one
-    left-to-right pass moves the left end past it when the right end
-    reaches that index.
-    """
-    last_start = [-1] * len(word)
-    for m, a, b in _period_runs(word, word, lambda m: m + 1):
-        for pos in range(a, b - m):
-            last_start[pos + 2 * m] = max(last_start[pos + 2 * m], pos)
-    best_pos, best_len = 0, 0
-    left = 0
-    for right, start in enumerate(last_start):
-        left = max(left, start + 1)
-        if right - left + 1 > best_len:
-            best_pos, best_len = left, right - left + 1
-    return SubwordSpan(best_pos, best_len)

@@ -204,17 +204,10 @@ def certificate_from_occurrence(
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Whether the window matched, and the certificate's p and s."""
+    """Whether the window matched, and how many letters it holds."""
 
     combinatorial_ok: bool
     window_checked: int
-    p: int
-    s: int
-
-    @property
-    def guaranteed_bound(self) -> Fraction | None:
-        """p**-s when the window matched, else None."""
-        return Fraction(self.p) ** -self.s if self.combinatorial_ok else None
 
 
 def verify_certificate(
@@ -233,7 +226,7 @@ def verify_certificate(
     if len(prefix) < required:
         raise PrefixTooShortError(required, len(prefix))
     ok = prefix[cert.k : required] == cert.occurrence.pattern()
-    return VerificationResult(ok, window, cert.p, cert.s)
+    return VerificationResult(ok, window)
 
 
 @dataclass(frozen=True)

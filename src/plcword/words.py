@@ -9,17 +9,14 @@ require ``2 <= p <= 10``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 __all__ = [
     "MorphismError",
     "Morphism",
-    "MorphismProperties",
     "parse_morphism",
     "mortal_letters",
     "is_prolongable",
     "fixed_point_prefix",
-    "morphism_properties",
     "complement",
     "WordStream",
     "FixedPointStream",
@@ -154,41 +151,6 @@ def is_prolongable(m: Morphism, letter: str) -> bool:
         return False
     mortal = mortal_letters(m)
     return any(ch not in mortal for ch in image[1:])
-
-
-@dataclass(frozen=True)
-class MorphismProperties:
-    k_uniform: int | None
-    expanding: bool
-    primitive: bool
-
-
-def morphism_properties(m: Morphism) -> MorphismProperties:
-    """Uniformity, expansion, and primitivity of a morphism.
-
-    Primitivity is decided with boolean incidence reachability: some power
-    n <= |alphabet|**2 must make every letter's image contain every letter.
-    """
-    lengths = {len(img) for img in m.images.values()}
-    k_uniform = lengths.pop() if len(lengths) == 1 else None
-    expanding = all(len(img) >= 2 for img in m.images.values())
-
-    letters = sorted(m.alphabet)
-    full = frozenset(letters)
-    direct = {a: frozenset(m.images[a]) for a in letters}
-    current = direct
-    primitive = False
-    for _ in range(len(letters) ** 2):
-        if all(current[a] == full for a in letters):
-            primitive = True
-            break
-        current = {
-            a: frozenset().union(*(direct[b] for b in current[a]))
-            if current[a]
-            else frozenset()
-            for a in letters
-        }
-    return MorphismProperties(k_uniform, expanding, primitive)
 
 
 def _reachable(images: dict[str, str], sources: str) -> set[str]:

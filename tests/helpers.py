@@ -362,16 +362,6 @@ def naive_tm_identity_suite(base: int, length: int) -> list[IdentityCheck]:
     return checks
 
 
-def naive_longest_overlap_free(word: str) -> tuple[int, int]:
-    """Exhaustive window scan for the leftmost longest overlap-free subword."""
-    n = len(word)
-    for length in range(n, 0, -1):
-        for pos in range(n - length + 1):
-            if naive_is_overlap_free(word[pos : pos + length]):
-                return pos, length
-    return 0, 0
-
-
 def overlap_free_census(max_len: int) -> dict[int, list[str]]:
     """All overlap-free binary words, by length, via suffix backtracking."""
     by_len: dict[int, list[str]] = {0: [""]}

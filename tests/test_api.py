@@ -1,6 +1,9 @@
-"""The package namespace is exactly the union of the modules' ``__all__``."""
+"""The package namespace is exactly the union of the modules' ``__all__``,
+and every module uses what it imports."""
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +38,29 @@ def test_no_other_public_names():
         and not (isinstance(value, types.ModuleType) and value.__name__ == f"plcword.{name}")
     }
     assert extra == set()
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names the module's import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def test_every_import_is_used():
+    # nothing else lints the package: an import that a deletion leaves
+    # behind would otherwise stay
+    unused = {}
+    for path in Path(plcword.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        stale = imported_names(tree) - used
+        if stale:
+            unused[path.name] = stale
+    assert unused == {}

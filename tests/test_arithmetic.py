@@ -38,23 +38,6 @@ class TestWordValue:
             pw.word_value("1\u0663", 10)
 
 
-class TestIntToWord:
-    def test_examples(self):
-        assert pw.int_to_word(48, 3) == "1210"
-        assert pw.int_to_word(0, 5) == "0"
-        assert pw.int_to_word(1, 2) == "1"
-
-    @given(st.integers(0, 10**12), st.sampled_from([2, 3, 5, 10]))
-    def test_round_trip(self, value, base):
-        assert pw.word_value(pw.int_to_word(value, base), base) == value
-
-    @given(st.text(alphabet="01", max_size=20), st.sampled_from([2, 3, 5, 10]))
-    def test_round_trip_strips_leading_zeros(self, word, base):
-        if not word:
-            return
-        assert pw.int_to_word(pw.word_value(word, base), base) == (word.lstrip("0") or "0")
-
-
 class TestPrefixValue:
     def test_examples(self):
         assert pw.prefix_value("0110", 2) == Fraction(3, 8)
@@ -69,31 +52,6 @@ class TestPrefixValue:
             assert lo <= nxt <= lo + Fraction(1, 2**length)
 
 
-class TestPeriodicValue:
-    def test_examples(self):
-        assert pw.periodic_value("01", 2) == Fraction(1, 3)
-        assert pw.periodic_value("1", 2) == 1
-        assert pw.periodic_value("1210", 3) == Fraction(3, 5)
-
-    def test_telescoping_identity(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            base = rng.choice((2, 3, 5, 7))
-            word = random_digit_word(rng, rng.randint(1, 8), base)
-            full = pw.periodic_value(word, base)
-            for t in (1, 2, 3):
-                repeated = pw.prefix_value(word * t, base)
-                assert full == repeated + full * Fraction(1, base ** (t * len(word)))
-
-    def test_reduced_denominator_matches_gcd_bound(self):
-        rng = random.Random(6)
-        for _ in range(100):
-            base = rng.choice((2, 3, 5))
-            word = random_digit_word(rng, rng.randint(1, 10), base)
-            bound = pw.gcd_bound(word, base)
-            assert pw.periodic_value(word, base).denominator == bound.q_max
-
-
 class TestGcdBound:
     def test_base3_word(self):
         assert pw.gcd_bound("1210", 3) == pw.GcdBound(m=4, d=16, q_max=5, ell=2)
@@ -106,6 +64,15 @@ class TestGcdBound:
 
     def test_all_zero_period(self):
         assert pw.gcd_bound("00", 2) == pw.GcdBound(m=2, d=3, q_max=1, ell=1)
+
+    def test_reduced_denominator_matches_gcd_bound(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            base = rng.choice((2, 3, 5))
+            word = random_digit_word(rng, rng.randint(1, 10), base)
+            bound = pw.gcd_bound(word, base)
+            value = Fraction(pw.word_value(word, base), base ** len(word) - 1)
+            assert value.denominator == bound.q_max
 
     def test_sandwich_invariant(self):
         rng = random.Random(8)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -39,16 +38,6 @@ class TestGrowsUnboundedly:
                     assert lengths[12] > lengths[6], (m, letter)
                 else:
                     assert lengths[12] == lengths[6], (m, letter)
-
-    def test_growth_classes_partition(self):
-        rng = random.Random(59)
-        for _ in range(50):
-            m = random_morphism(rng)
-            classes = pw.growth_classes(m)
-            assert set(classes) == set(m.alphabet)
-            for letter, kind in classes.items():
-                assert kind in ("mortal", "bounded", "growing")
-                assert (kind == "mortal") == (letter in pw.mortal_letters(m))
 
 
 class TestClassifyBinary:
@@ -180,60 +169,3 @@ class TestThueMorseBeforeScan:
                 if pw.classify_binary(m, start, depth).tag != "P1":
                     prefix = pw.fixed_point_prefix(m, start, depth)
                     assert prefix not in (pw.thue_morse_prefix(depth, "0"), pw.thue_morse_prefix(depth, "1"))
-
-
-class TestRestrictToSubalphabet:
-    def test_closed_subalphabet(self):
-        m = pw.parse_morphism("0->01;1->12;2->2")
-        sub = pw.restrict_to_subalphabet(m, {"1", "2"})
-        assert sub is not None
-        assert sub.images == {"1": "12", "2": "2"}
-
-    def test_escaping_image(self):
-        assert pw.restrict_to_subalphabet(pw.MU, {"0"}) is None
-
-    def test_full_alphabet(self):
-        assert pw.restrict_to_subalphabet(pw.MU, {"0", "1"}) == pw.MU
-
-
-class TestEmpiricalRecurrence:
-    def test_thue_morse_single_letters(self):
-        assert pw.empirical_recurrence(pw.thue_morse_prefix(16), 1).window == 3
-
-    def test_alternating_pairs(self):
-        assert pw.empirical_recurrence("0101", 2).window == 3
-
-    def test_skewed_word(self):
-        assert pw.empirical_recurrence("0001", 1).window == 4
-
-    def test_agrees_with_direct_window_scan(self):
-        rng = random.Random(61)
-        for _ in range(60):
-            word = "".join(rng.choice("01") for _ in range(rng.randint(2, 18)))
-            n = rng.randint(1, min(3, len(word)))
-            subwords = {word[i : i + n] for i in range(len(word) - n + 1)}
-            direct = None
-            for size in range(n, len(word) + 1):
-                if all(
-                    all(s in word[i : i + size] for s in subwords)
-                    for i in range(len(word) - size + 1)
-                ):
-                    direct = size
-                    break
-            assert pw.empirical_recurrence(word, n).window == direct
-
-
-class TestWordDistance:
-    def test_examples(self):
-        assert pw.word_distance("0110x", "0111y") == Fraction(1, 8)
-        assert pw.word_distance("abc", "abc") == 0
-        assert pw.word_distance("0a", "1b") == 1
-
-    def test_ultrametric_inequality(self):
-        rng = random.Random(67)
-        words = ["".join(rng.choice("01") for _ in range(rng.randint(0, 10))) for _ in range(100)]
-        for _ in range(300):
-            x, y, z = rng.choice(words), rng.choice(words), rng.choice(words)
-            assert pw.word_distance(x, z) <= max(
-                pw.word_distance(x, y), pw.word_distance(y, z)
-            )

