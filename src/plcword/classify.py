@@ -19,16 +19,11 @@ returned as P2 or P3 is confirmed against a generated prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable
 
 from .repetitions import OverlapOccurrence, first_overlap
 from .tm import thue_morse_prefix
-from .words import (
-    FixedPointStream,
-    Morphism,
-    PeriodicStream,
-    WordStream,
-    _grows_unboundedly,
-)
+from .words import FixedPointStream, Morphism, _grows_unboundedly
 
 __all__ = [
     "grows_unboundedly",
@@ -71,8 +66,9 @@ class Classification:
         return data
 
 
-def _find_in_stream(stream: WordStream, target: str) -> int:
-    """Index of the first occurrence of target in the stream.
+def _find_in_stream(prefix: Callable[[int], str], target: str) -> int:
+    """Index of the first occurrence of target in a word, given by the
+    function from n to its first n letters.
 
     Reads 4 * len(target) + 64 letters first and doubles the prefix until
     it reaches ``_SEARCH_CAP``, which is always the last prefix read; the
@@ -81,7 +77,7 @@ def _find_in_stream(stream: WordStream, target: str) -> int:
     """
     size = 4 * len(target) + 64
     while True:
-        idx = stream.prefix(min(size, _SEARCH_CAP)).find(target)
+        idx = prefix(min(size, _SEARCH_CAP)).find(target)
         if idx >= 0:
             return idx
         if size >= _SEARCH_CAP:
@@ -122,8 +118,8 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
     u = image[1:]
     v = m.images[o]
 
-    def confirmed_p2(stream: WordStream, witness: str, label: str) -> Classification:
-        _find_in_stream(stream, witness * _CONFIRM_POWER)
+    def confirmed_p2(prefix: Callable[[int], str], witness: str, label: str) -> Classification:
+        _find_in_stream(prefix, witness * _CONFIRM_POWER)
         return Classification(
             tag="P2",
             witness=witness,
@@ -133,27 +129,27 @@ def classify_binary(m: Morphism, start: str, depth: int = 4096) -> Classificatio
 
     # u made of the start letter alone: the fixed point is z z z ...
     if set(u) == {z}:
-        return confirmed_p2(FixedPointStream(m, z), z, "u=0^n")
+        return confirmed_p2(FixedPointStream(m, z).prefix, z, "u=0^n")
 
     # Case I: the other letter is erased, so w = (phi(z)) repeated.
     if v == "":
-        return confirmed_p2(PeriodicStream(image), image, "CaseI")
+        return confirmed_p2(lambda n: (image * (n // len(image) + 1))[:n], image, "CaseI")
 
     if set(v) == {o}:
-        stream = FixedPointStream(m, z)
+        fixed_point = FixedPointStream(m, z).prefix
         if len(v) >= 2 or z not in u:
             # powers of o pump through phi^k(o) = o**(n**k); or u = o^k and
             # phi(o) = o, so the word is z followed by o forever
-            return confirmed_p2(stream, o, "CaseII-1^n")
+            return confirmed_p2(fixed_point, o, "CaseII-1^n")
         if u.endswith(o):
             # u = u' z o^k: each application stretches the trailing o-run
-            return confirmed_p2(stream, o, "CaseII-tail")
+            return confirmed_p2(fixed_point, o, "CaseII-tail")
         # u ends in z and contains o: phi^2(z) already carries the overlap
         # z o^k z o^k z, with k the o-run just before the final z of u.
         body = u[:-1]
         run = len(body) - len(body.rstrip(o))
         pattern = z + o * run + z + o * run + z
-        pos = _find_in_stream(stream, pattern)
+        pos = _find_in_stream(fixed_point, pattern)
         occ = OverlapOccurrence(pos, z, o * run)
         assert grows_unboundedly(m, z)
         return Classification(tag="P3", overlap=occ, growing_letter=z)

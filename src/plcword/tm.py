@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .arithmetic import prefix_value, word_value
 from .repetitions import is_overlap_free
-from .words import FixedPointStream, Morphism, complement
+from .words import FixedPointStream, Morphism, _require_base, complement
 
 __all__ = [
     "MU",
@@ -183,6 +183,7 @@ def tm_digit_word(a: int, b: int, length: int) -> str:
 
 def tm_constant(a: int, b: int, base: int, length: int) -> Fraction:
     """Truncated value of the coded Thue-Morse constant in the given base."""
+    _require_base(base)
     if length < 1:
         raise ValueError("length must be at least 1")
     if a >= base or b >= base:

@@ -47,8 +47,6 @@ from .words import _require_base, complement
 
 __all__ = [
     "PlcCertificate",
-    "PrefixTooShortError",
-    "VerificationResult",
     "BruteForceResult",
     "certificate_from_occurrence",
     "verify_certificate",
@@ -59,15 +57,6 @@ __all__ = [
 
 KIND_SQUARE3 = "square3"
 KIND_GCD = "gcd"
-
-
-class PrefixTooShortError(ValueError):
-    """The digit prefix does not cover the certificate window."""
-
-    def __init__(self, required: int, available: int):
-        super().__init__(f"need {required} letters, prefix has {available}")
-        self.required = required
-        self.available = available
 
 
 @dataclass(frozen=True)
@@ -202,18 +191,8 @@ def certificate_from_occurrence(
     return _certificate(base, kind, occ, bound)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    """Whether the window matched, and how many letters it holds."""
-
-    combinatorial_ok: bool
-    window_checked: int
-
-
-def verify_certificate(
-    prefix: str, cert: PlcCertificate, base: int
-) -> VerificationResult:
-    """Check the certificate window digit-for-digit against a prefix.
+def verify_certificate(prefix: str, cert: PlcCertificate, base: int) -> bool:
+    """Whether the certificate window matches the prefix digit for digit.
 
     Needs k + window letters.  No numeric error analysis is involved: when
     the window matches, the bound holds for every continuation of the
@@ -221,12 +200,10 @@ def verify_certificate(
     """
     if base != cert.p:
         raise ValueError(f"certificate is for base {cert.p}, got {base}")
-    window = cert.window_len
-    required = cert.k + window
+    required = cert.k + cert.window_len
     if len(prefix) < required:
-        raise PrefixTooShortError(required, len(prefix))
-    ok = prefix[cert.k : required] == cert.occurrence.pattern()
-    return VerificationResult(ok, window)
+        raise ValueError(f"need {required} letters, prefix has {len(prefix)}")
+    return cert.occurrence.matches(prefix)
 
 
 @dataclass(frozen=True)
@@ -305,9 +282,6 @@ def _fixed_point_bounds(
 def _candidate_qs(shifted: int, den: int, max_q: int) -> Iterator[int]:
     """Increasing q in [1, max_q] whose lower bound is at most every upper
     bound so far: the first q with the least q U_q and every q tying it."""
-    if max_q.bit_length() > 63:  # q no longer fits in 63 bits
-        yield from range(1, max_q + 1)
-        return
     bound = 1 << 63  # above every hi
     for q, lo, hi in _fixed_point_bounds(shifted, den, max_q):
         bound = min(bound, int(hi.min()))
@@ -334,6 +308,8 @@ def brute_force_min(
     _require_base(base)
     if max_q < 1:
         raise ValueError("max_q must be at least 1")
+    if max_q >= 1 << 63:
+        raise ValueError("max_q must be below 2**63")
     if max_k < 0:
         raise ValueError("max_k must be non-negative")
     length = len(prefix)

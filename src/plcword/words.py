@@ -20,7 +20,6 @@ __all__ = [
     "complement",
     "WordStream",
     "FixedPointStream",
-    "PeriodicStream",
 ]
 
 
@@ -301,19 +300,6 @@ class FixedPointStream(WordStream):
             return None
         self._powers = powers = {b: "".join([powers[c] for c in images[b]]) for b in powers}
         return "".join([powers[b] for b in self._x])
-
-
-class PeriodicStream(WordStream):
-    """The periodic word w w w ... for a non-empty finite word w."""
-
-    def __init__(self, period: str):
-        if not period:
-            raise ValueError("period must be non-empty")
-        super().__init__()
-        self.period = period
-
-    def _grow(self) -> str:
-        return self.period
 
 
 def fixed_point_prefix(m: Morphism, start: str, n: int) -> str:

@@ -8,6 +8,7 @@ random corpora use fixed seeds.
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,7 @@ def test_criterion_02_certificate_soundness(corpus):
         # every detected square3 occurrence certifies and verifies
         for occ in pw.find_fractional_squares(word, 1, 3):
             cert = pw.certificate_from_occurrence(word, occ, 2, "square3")
-            assert pw.verify_certificate(word, cert, 2).combinatorial_ok
+            assert pw.verify_certificate(word, cert, 2)
         # the planted window, at its maximal extension
         t = m
         while pos + t < len(word) and word[pos + t] == word[pos + t - m]:
@@ -86,7 +87,7 @@ def test_criterion_02_certificate_soundness(corpus):
             word, pw.RepetitionOccurrence(pos, v, repeats, f), 2, "square3"
         )
         assert cert.s >= frac
-        assert pw.verify_certificate(word, cert, 2).combinatorial_ok
+        assert pw.verify_certificate(word, cert, 2)
         # independent oracle: exact interval minimisation on an extension
         res = pw.brute_force_min(word + tail, 2, 2**m, pos)
         assert res.value_hi < Fraction(1, 2**frac)
@@ -198,6 +199,15 @@ def test_criterion_08_classifier_census():
     assert case2.tag == "P3" and case2.overlap.pattern() == "01010"
     case1 = pw.classify_binary(pw.parse_morphism("0->01;1->"), "0", depth=4096)
     assert case1.tag == "P2" and case1.case_label == "CaseI"
+    outcomes = Counter((r.tag, r.case_label) for r in tags.values())
+    assert outcomes == {
+        ("P1", None): 2,
+        ("P2", "CaseI"): 8,
+        ("P2", "CaseII-1^n"): 20,
+        ("P2", "CaseII-tail"): 2,
+        ("P2", "u=0^n"): 60,
+        ("P3", None): 88,
+    }
     _report(8, f"classifier census of {len(tags)} morphisms at depth 4096", started, 60.0)
 
 

@@ -100,14 +100,17 @@ class TestUtf8Inputs:
         assert (code, out, err) == (2, "", "error: letter 'α' is not a base-2 digit\n")
 
 
-# Every command that takes --p, with its other required arguments; the
-# digit commands read stdin, which the base check must never reach.
+# Every command that takes a base, with its other required arguments and
+# its base flag last (--p, or tm's --n); the digit commands read stdin,
+# which the base check must never reach.
 BASE_COMMANDS = {
-    "detect": ["detect", "--digits", "-"],
-    "cert": ["cert", "--digits", "-"],
-    "verify": ["verify", "--digits", "-", "--cert", "-"],
-    "bruteforce": ["bruteforce", "--digits", "-", "--Q", "3", "--K", "0"],
-    "orbit": ["orbit", "--x", "1/3", "--K", "2"],
+    "detect": ["detect", "--digits", "-", "--p"],
+    "cert": ["cert", "--digits", "-", "--p"],
+    "verify": ["verify", "--digits", "-", "--cert", "-", "--p"],
+    "bruteforce": ["bruteforce", "--digits", "-", "--Q", "3", "--K", "0", "--p"],
+    "orbit": ["orbit", "--x", "1/3", "--K", "2", "--p"],
+    # its digit 1 is not below base 1, so the base must be checked first
+    "tm": ["tm", "--a", "0", "--b", "1", "--L", "4", "--n"],
 }
 DIGIT_COMMANDS = {
     "detect": [],
@@ -129,7 +132,7 @@ class TestBaseRule:
     @pytest.mark.parametrize("command", list(BASE_COMMANDS))
     def test_out_of_range_base_fails_before_input(self, capsys, monkeypatch, command, base):
         monkeypatch.setattr("sys.stdin", UnreadableStdin())
-        code, out, err = run_cli(capsys, *BASE_COMMANDS[command], "--p", base)
+        code, out, err = run_cli(capsys, *BASE_COMMANDS[command], base)
         assert (code, out) == (2, "")
         assert err == f"error: base must be between 2 and 10, got {base}\n"
 
@@ -392,6 +395,11 @@ class TestOtherCommands:
         path = digits_file("01" * 10)
         doc = run_json(capsys, "bruteforce", "--digits", path, "--p", "2", "--Q", "3", "--K", "0")
         assert doc["result"]["q"] == 3
+
+    def test_bruteforce_past_63_bit_q_is_validation_error(self, capsys, digits_file):
+        path = digits_file("01" * 10)
+        code, out, err = run_cli(capsys, "bruteforce", "--digits", path, "--Q", str(1 << 63), "--K", "0")
+        assert (code, out, err) == (2, "", "error: max_q must be below 2**63\n")
 
     def test_cf(self, capsys):
         doc = run_json(capsys, "cf", "--x", "7/5")

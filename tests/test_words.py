@@ -270,10 +270,6 @@ class TestComplement:
 
 
 class TestStreams:
-    def test_periodic(self):
-        s = pw.PeriodicStream("011")
-        assert s.prefix(8) == "01101101"
-
     def test_concurrent_readers_see_consistent_prefixes(self):
         stream = pw.FixedPointStream(MU, "0")
         reference = pw.fixed_point_prefix(MU, "0", 4096)
