@@ -34,7 +34,21 @@ def word_value(word: str, base: int) -> int:
     if not word:
         raise ValueError("word must be non-empty")
     _require_digits(word, base)
-    return int(word, base)
+    return _digits_value(word, base)
+
+
+def _digits_value(word: str, base: int) -> int:
+    """``int(word, base)`` of a non-empty word of checked digits, any length.
+
+    ``int`` refuses more than 4,300 digits in a base that is not a power of
+    two (Python's default limit), so a longer word is split in halves, each
+    converted alike: its value is high * base**len(low) + low.
+    """
+    if len(word) <= 4300:
+        return int(word, base)
+    half = len(word) // 2
+    high, low = word[:half], word[half:]
+    return _digits_value(high, base) * base ** len(low) + _digits_value(low, base)
 
 
 def prefix_value(word: str, base: int) -> Fraction:
@@ -43,7 +57,7 @@ def prefix_value(word: str, base: int) -> Fraction:
     _require_digits(word, base)
     if not word:
         return Fraction(0)
-    return Fraction(int(word, base), base ** len(word))
+    return Fraction(_digits_value(word, base), base ** len(word))
 
 
 @dataclass(frozen=True)
@@ -59,8 +73,11 @@ class GcdBound:
 
 def gcd_bound(word: str, base: int) -> GcdBound:
     """Gcd denominator bound of a period word, with the smallest valid ell."""
-    value = word_value(word, base)
-    m = len(word)
+    return _gcd_bound(word_value(word, base), len(word), base)
+
+
+def _gcd_bound(value: int, m: int, base: int) -> GcdBound:
+    """``gcd_bound`` of the period word of m letters whose value is given."""
     full = base**m - 1
     d = math.gcd(full, value)
     q_max = full // d

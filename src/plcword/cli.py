@@ -80,8 +80,9 @@ def _cmd_verify(args) -> dict:
     if not isinstance(cert_list, list):
         raise ValueError("certificates must be a JSON list")
     results = []
+    bounds = {}  # one gcd per distinct (p, period) of the list
     for data in cert_list:
-        cert = witness.PlcCertificate.from_json(data)
+        cert = witness.PlcCertificate.from_json(data, bounds)
         ok = witness.verify_certificate(word, cert, args.p)
         results.append({
             "combinatorial_ok": ok,

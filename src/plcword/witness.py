@@ -20,9 +20,10 @@ s may be zero or negative, in which case the certificate is valid but
 vacuous (its bound is >= 1) and is flagged rather than dropped.
 
 Verification trusts no number in a certificate: ``from_json`` works q, s
-and the bound out again from p, kind and the window.  Re-reading the window
-from a prefix is then enough, because the inequality holds for every real
-number whose expansion extends that prefix.  ``brute_force_min`` is the
+and the bound out again from p, kind and the window, and a certificate
+list shares one dict of gcd bounds, one per distinct p and period word.
+Re-reading the window from a prefix is then enough, because the inequality
+holds for every real number whose expansion extends that prefix.  ``brute_force_min`` is the
 independent cross-check: an exact interval minimisation of the functional
 over small q and k that knows nothing about periods or gcds.  It searches
 with integers; ``enclosure`` is the exact range at one pair.  A uint64
@@ -41,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arithmetic import GcdBound, gcd_bound, word_value
+from .arithmetic import GcdBound, _digits_value, _gcd_bound, gcd_bound, word_value
 from .repetitions import RepetitionOccurrence, _period_runs
 from .words import _require_base, complement
 
@@ -107,44 +108,58 @@ class PlcCertificate:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "PlcCertificate":
+    def from_json(cls, data: dict, bounds: dict | None = None) -> "PlcCertificate":
         """Rebuild a ``to_json`` certificate from its window; trust no number.
 
         p, kind and the window are read (checked for the shape slicing
         needs), the certificate is worked out again, and every key of its
         ``to_json`` must be present with the same value and type.  Anything
         else raises ValueError naming the field.
+
+        ``bounds``, a dict kept over one certificate list, maps (p, period)
+        to the ``gcd_bound`` of that word, so the list takes one gcd per
+        distinct period word.  An entry is stored only once ``gcd_bound``
+        has returned, that is once it has checked the base and the digits.
         """
         if not isinstance(data, dict):
             raise ValueError("a certificate must be a JSON object")
-
-        def field(key):
-            if key not in data:
-                raise ValueError(f"certificate is missing field {key!r}")
-            return data[key]
-
-        p, k, repeats, frac_len = map(field, ("p", "k", "repeats", "frac_len"))
-        if not all(type(v) is int for v in (p, k, repeats, frac_len)):
-            raise ValueError("certificate p, k, repeats and frac_len must be integers")
-        if k < 0:
-            raise ValueError(f"certificate k must be non-negative, got {k}")
-        period = field("period")
-        if not isinstance(period, str):
-            raise ValueError("certificate period must be a digit string")
-        if not 0 <= frac_len < len(period):
-            raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
-        occ = RepetitionOccurrence(k, period, repeats, frac_len)
-        cert = _certificate(p, field("kind"), occ)
-        # p**s has more than s/4 digits, so a shorter claim cannot match;
-        # checked before p is raised to an s that a forged repeats can make huge
-        if cert.s > 4 * len(str(field("bound"))):
-            raise ValueError(f"certificate field 'bound' is shorter than {p}**-{cert.s}")
-        for key, value in cert.to_json().items():
-            claim = field(key)
-            if type(claim) is not type(value) or claim != value:
-                raise ValueError(
-                    f"certificate field {key!r} is {claim!r}, its window gives {value!r}"
-                )
+        if bounds is None:
+            bounds = {}
+        # the fields are read and checked in a fixed order, which fixes the
+        # error a malformed certificate raises; only data[key] raises KeyError
+        try:
+            p, k, repeats, frac_len = data["p"], data["k"], data["repeats"], data["frac_len"]
+            if not type(p) is type(k) is type(repeats) is type(frac_len) is int:
+                raise ValueError("certificate p, k, repeats and frac_len must be integers")
+            if k < 0:
+                raise ValueError(f"certificate k must be non-negative, got {k}")
+            period = data["period"]
+            if not isinstance(period, str):
+                raise ValueError("certificate period must be a digit string")
+            if not 0 <= frac_len < len(period):
+                raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
+            occ = RepetitionOccurrence(k, period, repeats, frac_len)
+            kind = data["kind"]
+            bound = bounds.get((p, period))
+            if bound is None:
+                _require_rule(kind, repeats)  # before the gcd, as in _certificate
+                bound = bounds[p, period] = gcd_bound(period, p)
+            cert = _certificate(p, kind, occ, bound)
+            # p**s has more than s/4 digits, so a shorter claim cannot match;
+            # checked before p is raised to an s that a forged repeats can make huge
+            if cert.s > 4 * len(str(data["bound"])):
+                raise ValueError(f"certificate field 'bound' is shorter than {p}**-{cert.s}")
+            rebuilt = cert.to_json()
+            if rebuilt != data or [*map(type, rebuilt.values())] != [*map(type, data.values())]:
+                # name the field; data may also hold extra keys, or its own key order
+                for key, value in rebuilt.items():
+                    claim = data[key]
+                    if type(claim) is not type(value) or claim != value:
+                        raise ValueError(
+                            f"certificate field {key!r} is {claim!r}, its window gives {value!r}"
+                        )
+        except KeyError as missing:
+            raise ValueError(f"certificate is missing field {missing.args[0]!r}") from None
         return cert
 
 
@@ -156,6 +171,15 @@ def _bound_text(p: int, s: int) -> str:
     return str(Decimal(p**-s)) + "/1"
 
 
+def _require_rule(kind: str, repeats: int) -> None:
+    """Raise unless kind is a score rule and the window has the copies it needs."""
+    if kind not in (KIND_SQUARE3, KIND_GCD):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    least = 2 if kind == KIND_SQUARE3 else 1
+    if repeats < least:
+        raise ValueError(f"{kind} certificates need repeats >= {least}")
+
+
 def _certificate(
     p: int, kind: str, occ: RepetitionOccurrence, bound: GcdBound | None = None
 ) -> PlcCertificate:
@@ -165,11 +189,7 @@ def _certificate(
     gives gcd = p**m - 1 and q = 1, the certificate of an exactly rational
     tail.  ``bound``, when given, is the period's ``gcd_bound``.
     """
-    if kind not in (KIND_SQUARE3, KIND_GCD):
-        raise ValueError(f"unknown certificate kind {kind!r}")
-    least = 2 if kind == KIND_SQUARE3 else 1
-    if occ.whole_repeats < least:
-        raise ValueError(f"{kind} certificates need repeats >= {least}")
+    _require_rule(kind, occ.whole_repeats)
     if bound is None:
         bound = gcd_bound(occ.period_word, p)
     m, r, f = occ.period, occ.whole_repeats, occ.frac_len
@@ -433,7 +453,7 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     # the window at pos has m + b - pos letters, so s = b - pos - 2 ell for
     # gcd and b - pos - m for square3; windows of whole copies are skipped
     for m, a, b in _plain_runs(prefix, base, target_s):
-        bound = gcd_bound(prefix[a : a + m], base)
+        bound = _gcd_bound(_digits_value(prefix[a : a + m], base), m, base)
         plain = range(a, b - max(target_s + 2 * bound.ell, 1) + 1)
         square3 = range(a, b - m - max(target_s, 0) + 1)
         for kind, kept in ((KIND_GCD, plain), (KIND_SQUARE3, square3)):

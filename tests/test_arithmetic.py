@@ -37,6 +37,19 @@ class TestWordValue:
         with pytest.raises(ValueError, match="is not a base-10 digit"):
             pw.word_value("1\u0663", 10)
 
+    def test_past_the_int_string_limit(self):
+        # int() converts at most 4,300 digits in a base that is not a power of two
+        assert pw.word_value("1" * 5000, 3) == (3**5000 - 1) // 2
+        assert pw.word_value("9" * 5000, 10) == 10**5000 - 1
+        rng = random.Random(5)
+        for base in (3, 5, 6, 7, 9, 10):
+            word = random_digit_word(rng, rng.randint(4301, 9000), base)
+            want = 0
+            for letter in word:
+                want = want * base + int(letter)
+            assert pw.word_value(word, base) == want
+            assert pw.prefix_value(word, base) == Fraction(want, base ** len(word))
+
 
 class TestPrefixValue:
     def test_examples(self):

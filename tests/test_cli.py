@@ -389,6 +389,27 @@ class TestCertifyPipeline:
         assert code == 2
         assert "need 5 letters" in err
 
+    def test_bad_digit_after_the_last_run_is_validation_error(self, capsys, digits_file):
+        path = digits_file("0110" * 10 + "2")
+        code, out, err = run_cli(capsys, "cert", "--digits", path, "--p", "2")
+        assert (code, out, err) == (2, "", "error: letter '2' is not a base-2 digit\n")
+
+    def test_verify_takes_one_gcd_per_period_word(self, capsys, monkeypatch, tmp_path):
+        digits = str(GOLDEN_INPUTS / "fib40.txt")
+        cert_path = tmp_path / "fib40.json"
+        code, _, err = run_cli(capsys, "--out", str(cert_path), "cert", "--digits", digits)
+        assert code == 0, err
+        certs = json.loads(cert_path.read_text())["result"]["certificates"]
+        calls = []
+        gcd_bound = cli.witness.gcd_bound
+        monkeypatch.setattr(
+            cli.witness, "gcd_bound", lambda word, p: calls.append((p, word)) or gcd_bound(word, p)
+        )
+        doc = run_json(capsys, "verify", "--digits", digits, "--cert", str(cert_path))
+        assert all(r["combinatorial_ok"] for r in doc["result"]["results"])
+        assert sorted(calls) == sorted({(c["p"], c["period"]) for c in certs})
+        assert len(calls) < len(certs)
+
 
 class TestOtherCommands:
     def test_bruteforce(self, capsys, digits_file):
@@ -457,6 +478,12 @@ class TestOtherCommands:
     def test_tm(self, capsys):
         doc = run_json(capsys, "tm", "--a", "0", "--b", "1", "--n", "2", "--L", "4")
         assert doc["result"]["constant"] == "3/8"
+        assert all(c["ok"] for c in doc["result"]["identities"])
+
+    def test_tm_past_the_int_string_limit(self, capsys):
+        # int() converts at most 4,300 digits in base 3
+        doc = run_json(capsys, "tm", "--a", "0", "--b", "1", "--n", "3", "--L", "5000")
+        assert doc["result"]["constant"].endswith(f"/{Decimal(3**5000)}")
         assert all(c["ok"] for c in doc["result"]["identities"])
 
     def test_classify(self, capsys, tm_file):

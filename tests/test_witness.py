@@ -423,6 +423,21 @@ class TestScanAndCertify:
         for target in (0, 5, 10):
             assert all(c.s >= target for c in pw.scan_and_certify("01" * 20, 2, target))
 
+    def test_bad_digit_after_the_last_run(self):
+        with pytest.raises(ValueError, match="^letter '2' is not a base-2 digit$"):
+            pw.scan_and_certify("0110" * 10 + "2", 2, 1)
+
+    def test_period_past_the_int_string_limit(self):
+        # int() converts at most 4,300 digits in base 3; this period has 4,400
+        v = random_digit_word(random.Random(61), 4400, 3)
+        word = v + v + v[:100]
+        certs = pw.scan_and_certify(word, 3, 1)
+        assert any(c.occurrence.period == 4400 for c in certs)
+        bounds = {}
+        for cert in certs:
+            assert pw.PlcCertificate.from_json(cert.to_json(), bounds) == cert
+            assert pw.verify_certificate(word, cert, 3)
+
 
 class TestScanMatchesNaiveScan:
     @given(digit_words().filter(lambda wb: wb[0]))
@@ -541,7 +556,7 @@ class TestOneGcdPerRun:
 
         plain_runs = witness._plain_runs
         monkeypatch.setattr(witness, "_plain_runs", logged_runs)
-        log_calls("gcd_bound", gcd_runs, lambda: len(runs))
+        log_calls("_gcd_bound", gcd_runs, lambda: len(runs))
         log_calls("certificate_from_occurrence", built, lambda: None)
         assert pw.scan_and_certify(word, base, 1) == want
         # each run yielded takes one gcd, before the next one, and no gcd is
@@ -742,3 +757,56 @@ class TestMutatedCertificates:
                 assert honest.to_json() == edited
         assert rejected > 10 * true_edits
 
+    @pytest.mark.parametrize(
+        "word, base", CASES, ids=["tm2", "tm3", "fib2", "fib3", "rand2", "rand3"]
+    )
+    def test_a_shared_dict_changes_nothing(self, word, base):
+        certs = [c.to_json() for c in pw.scan_and_certify(word, base, -100)]
+        shared = {}
+        for data in certs:
+            pw.PlcCertificate.from_json(data, shared)
+        assert shared and len(shared) < len(certs)
+        for data in certs:
+            for field, value in mutations(data):
+                edited = {**data, field: value}
+                assert outcome(edited, shared) == outcome(edited)
+
+    def test_the_dict_key_holds_p(self):
+        certs = [c.to_json() for p in (2, 3) for c in pw.scan_and_certify("0110" * 6, p, -100)]
+        shared = {}
+        for data in certs:
+            assert outcome(data, shared) == outcome(data)
+        assert {(2, "0011"), (3, "0011")} <= set(shared)
+        assert shared[2, "0011"] != shared[3, "0011"]
+
+    def test_a_cached_period_still_checks_its_digits(self):
+        occ = pw.RepetitionOccurrence(0, "012", 2, 1)
+        data = pw.certificate_from_occurrence("0120120", occ, 3, "gcd").to_json()
+        shared = {}
+        pw.PlcCertificate.from_json(data, shared)
+        assert (3, "012") in shared
+        with pytest.raises(ValueError, match="^letter '2' is not a base-2 digit$"):
+            pw.PlcCertificate.from_json({**data, "p": 2}, shared)
+        assert (2, "012") not in shared
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("kind", "cube", "unknown certificate kind 'cube'"),
+            ("repeats", 0, "gcd certificates need repeats >= 1"),
+        ],
+    )
+    def test_kind_and_repeats_are_checked_before_the_gcd(self, field, value, message):
+        occ = pw.RepetitionOccurrence(0, "012", 2, 1)
+        data = pw.certificate_from_occurrence("0120120", occ, 3, "gcd").to_json()
+        # under p = 2 the period's digit check would fail, but only after these
+        edited = {**data, "p": 2, field: value}
+        assert outcome(edited) == outcome(edited, {}) == message
+
+
+def outcome(data: dict, bounds: dict | None = None):
+    """``from_json``'s certificate, or the text of the ValueError it raises."""
+    try:
+        return pw.PlcCertificate.from_json(data, bounds)
+    except ValueError as error:
+        return str(error)

@@ -3,8 +3,12 @@
 For a length n, prints one line per word: the seconds one
 ``scan_and_certify(word, 2, 1)`` call takes, the number of certificates
 it returns, the seconds to encode them as ``cert`` prints its result
-(``PlcCertificate.to_json`` and the CLI's JSON writer), and the sha256 of
-that JSON text, which shows whether a change to the scan keeps its bytes.
+(``PlcCertificate.to_json`` and the CLI's JSON writer), the seconds to
+check them again as ``verify`` checks a list (``PlcCertificate.from_json``
+with one shared dict of gcd bounds, then ``verify_certificate``, on the
+certificates read back from that JSON text), and the sha256 of that text,
+which shows whether a change to the scan keeps its bytes.  Exits with
+status 1 if any certificate fails to verify.
 The words are the first n letters of the Fibonacci word (0 -> 01,
 1 -> 0), of the Thue-Morse word, and of a seeded random binary word
 (``random.Random(1)`` drawing ``choice("01")`` max(n, 2**14) times, so its
@@ -17,10 +21,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import random
 import time
 
-from plcword import fixed_point_prefix, parse_morphism, scan_and_certify, thue_morse_prefix
+from plcword import (
+    PlcCertificate,
+    fixed_point_prefix,
+    parse_morphism,
+    scan_and_certify,
+    thue_morse_prefix,
+    verify_certificate,
+)
 from plcword.cli import _dumps
 
 TARGET_S = 1
@@ -43,17 +55,29 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="word length")
     n = parser.parse_args().n
+    rejected = 0
     for name, word in words(n).items():
         start = time.perf_counter()
         certs = scan_and_certify(word, 2, TARGET_S)
         scanned = time.perf_counter()
         text = _dumps({"certificates": [c.to_json() for c in certs]})
         encoded = time.perf_counter()
+        read_back = json.loads(text)["certificates"]
+        parsed = time.perf_counter()
+        bounds = {}
+        ok = sum(
+            verify_certificate(word, PlcCertificate.from_json(data, bounds), 2)
+            for data in read_back
+        )
+        verified = time.perf_counter()
+        rejected += len(certs) - ok
         print(
             f"{name:<10} n={n:<6} {scanned - start:8.3f} s  {len(certs):>7,} certificates"
-            f"  {encoded - scanned:7.3f} s to encode"
+            f"  {encoded - scanned:7.3f} s to encode  {verified - parsed:7.3f} s to verify"
             f"  sha256 {hashlib.sha256(text.encode()).hexdigest()}"
         )
+    if rejected:
+        raise SystemExit(f"{rejected} certificates did not verify")
 
 
 if __name__ == "__main__":
