@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .words import _require_base, _require_digits, complement
 
@@ -37,14 +39,20 @@ def word_value(word: str, base: int) -> int:
     return _digits_value(word, base)
 
 
+# the int-to-str digit limit, read at each call; 0 (no limit) before Python 3.10.7
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _digits_value(word: str, base: int) -> int:
     """``int(word, base)`` of a non-empty word of checked digits, any length.
 
-    ``int`` refuses more than 4,300 digits in a base that is not a power of
-    two (Python's default limit), so a longer word is split in halves, each
-    converted alike: its value is high * base**len(low) + low.
+    ``int`` refuses more digits than ``sys.get_int_max_str_digits()`` (4,300
+    by default; 0 is no limit) in a base that is not a power of two, so a
+    longer word is split in halves, each converted alike: its value is
+    high * base**len(low) + low.  Interpreters without the limit never split.
     """
-    if len(word) <= 4300:
+    limit = _max_str_digits()
+    if not limit or len(word) <= limit:
         return int(word, base)
     half = len(word) // 2
     high, low = word[:half], word[half:]
@@ -60,8 +68,7 @@ def prefix_value(word: str, base: int) -> Fraction:
     return Fraction(_digits_value(word, base), base ** len(word))
 
 
-@dataclass(frozen=True)
-class GcdBound:
+class GcdBound(NamedTuple):
     """Denominator data of a period word: base**m - 1 = d * q_max and
     base**(ell-1) <= q_max <= base**ell (ell = 1 when q_max = 1)."""
 

@@ -63,9 +63,8 @@ code points, as in ``_period_runs``, so any alphabet works.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,8 +83,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RepetitionOccurrence:
+class RepetitionOccurrence(NamedTuple):
     """A located v^r v[:f] with r whole copies and a proper fractional tail.
 
     Stored normalised: 0 <= frac_len < |period_word|, extra whole copies go
@@ -103,26 +101,24 @@ class RepetitionOccurrence:
 
     @property
     def window_len(self) -> int:
-        return self.whole_repeats * len(self.period_word) + self.frac_len
+        _, v, r, f = self
+        return r * len(v) + f
 
     def pattern(self) -> str:
-        return self.period_word * self.whole_repeats + self.period_word[: self.frac_len]
+        _, v, r, f = self
+        return v * r + v[:f]
 
     def matches(self, word: str) -> bool:
-        end = self.position + self.window_len
-        return end <= len(word) and word[self.position : end] == self.pattern()
+        pos, v, r, f = self
+        end = pos + r * len(v) + f
+        return end <= len(word) and word[pos:end] == self.pattern()
 
     def to_json(self) -> dict:
-        return {
-            "pos": self.position,
-            "period": self.period_word,
-            "repeats": self.whole_repeats,
-            "frac_len": self.frac_len,
-        }
+        pos, v, r, f = self
+        return {"pos": pos, "period": v, "repeats": r, "frac_len": f}
 
 
-@dataclass(frozen=True)
-class OverlapOccurrence:
+class OverlapOccurrence(NamedTuple):
     """A located u X u X u with u a single letter."""
 
     position: int
@@ -137,11 +133,11 @@ class OverlapOccurrence:
         return end <= len(word) and word[self.position : end] == self.pattern()
 
     def to_json(self) -> dict:
-        return {"pos": self.position, "u": self.u, "x": self.x}
+        pos, u, x = self
+        return {"pos": pos, "u": u, "x": x}
 
 
-@dataclass(frozen=True)
-class ComplementOccurrence:
+class ComplementOccurrence(NamedTuple):
     """A located v v~ v[:f] where v~ is the digitwise complement of v.
 
     Unlike a plain repetition the fractional part may reach the full period
@@ -158,13 +154,8 @@ class ComplementOccurrence:
         return v + complement(v, base) + v[: self.frac_len]
 
     def to_json(self) -> dict:
-        return {
-            "pos": self.position,
-            "period": self.period_word,
-            "repeats": 1,
-            "frac_len": self.frac_len,
-            "complement": True,
-        }
+        pos, v, f = self
+        return {"pos": pos, "period": v, "repeats": 1, "frac_len": f, "complement": True}
 
 
 def _first_by_position(

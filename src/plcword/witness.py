@@ -20,17 +20,20 @@ s may be zero or negative, in which case the certificate is valid but
 vacuous (its bound is >= 1) and is flagged rather than dropped.
 
 Verification trusts no number in a certificate: ``from_json`` works q, s
-and the bound out again from p, kind and the window, and a certificate
-list shares one dict of gcd bounds, one per distinct p and period word.
-Re-reading the window from a prefix is then enough, because the inequality
-holds for every real number whose expansion extends that prefix.  ``brute_force_min`` is the
-independent cross-check: an exact interval minimisation of the functional
-over small q and k that knows nothing about periods or gcds.  It searches
-with integers; ``enclosure`` is the exact range at one pair.  A uint64
-fixed-point prefilter encloses every candidate's upper end between two
-integers, in numpy blocks of q, and only the q whose lower end does not
-exceed the least upper end reach the exact test; the winning pair and its
-ties always do, so the result is exact and usually one q per k is tested.
+and the bound out again from p, kind and the window.  A certificate list
+shares one dict that holds a gcd bound per distinct p and period word and,
+beside it, each checked window, so the list works q, s and the bound out
+once per distinct window (p, kind, period, repeats, frac_len).  Re-reading
+the window from a prefix is then enough, because the inequality holds for
+every real number whose expansion extends that prefix.
+``brute_force_min`` is the independent cross-check: an exact interval
+minimisation of the functional over small q and k that knows nothing about
+periods or gcds.  It searches with integers; ``enclosure`` is the exact
+range at one pair.  A uint64 fixed-point prefilter encloses every
+candidate's upper end between two integers, in numpy blocks of q, and only
+the q whose lower end does not exceed the least upper end reach the exact
+test; the winning pair and its ties always do, so the result is exact and
+usually one q per k is tested.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,8 +64,7 @@ KIND_SQUARE3 = "square3"
 KIND_GCD = "gcd"
 
 
-@dataclass(frozen=True)
-class PlcCertificate:
+class PlcCertificate(NamedTuple):
     """A verified-window approximation certificate (p, kind, k, q, bound).
 
     The window is occurrence.pattern() read at position k; whenever a digit
@@ -93,18 +96,22 @@ class PlcCertificate:
         return self.occurrence.window_len
 
     def to_json(self) -> dict:
-        occ = self.occurrence
+        return self._json(_bound_text(self.p, self.s))
+
+    def _json(self, bound_text: str) -> dict:
+        """``to_json`` with the text of p**-s given."""
+        p, kind, (k, period, repeats, frac_len), q, s = self
         return {
-            "p": self.p,
-            "kind": self.kind,
-            "k": self.k,
-            "q": self.q,
-            "period": occ.period_word,
-            "repeats": occ.whole_repeats,
-            "frac_len": occ.frac_len,
-            "s": self.s,
-            "bound": _bound_text(self.p, self.s),
-            "vacuous": self.vacuous,
+            "p": p,
+            "kind": kind,
+            "k": k,
+            "q": q,
+            "period": period,
+            "repeats": repeats,
+            "frac_len": frac_len,
+            "s": s,
+            "bound": bound_text,
+            "vacuous": s <= 0,
         }
 
     @classmethod
@@ -117,9 +124,14 @@ class PlcCertificate:
         else raises ValueError naming the field.
 
         ``bounds``, a dict kept over one certificate list, maps (p, period)
-        to the ``gcd_bound`` of that word, so the list takes one gcd per
-        distinct period word.  An entry is stored only once ``gcd_bound``
-        has returned, that is once it has checked the base and the digits.
+        to the ``gcd_bound`` of that word and a dict of its checked windows,
+        so the list takes one gcd per distinct period word.  An entry is
+        stored only once ``gcd_bound`` has returned, that is once it has
+        checked the base and the digits.  The window dict maps (kind,
+        repeats, frac_len) to q, s and the bound text of a certificate that
+        passed every check: q and s depend on nothing else, so the list
+        works out each distinct window once, and a later certificate of it
+        is compared with that record at its own k.
         """
         if not isinstance(data, dict):
             raise ValueError("a certificate must be a JSON object")
@@ -140,16 +152,24 @@ class PlcCertificate:
                 raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
             occ = RepetitionOccurrence(k, period, repeats, frac_len)
             kind = data["kind"]
-            bound = bounds.get((p, period))
-            if bound is None:
-                _require_rule(kind, repeats)  # before the gcd, as in _certificate
-                bound = bounds[p, period] = gcd_bound(period, p)
-            cert = _certificate(p, kind, occ, bound)
+            _require_rule(kind, repeats)  # before the gcd, as in _certificate
+            entry = bounds.get((p, period))
+            if entry is None:
+                entry = bounds[p, period] = gcd_bound(period, p), {}
+            bound, windows = entry
+            window = kind, repeats, frac_len
+            known = windows.get(window)
+            if known is None:
+                cert = _certificate(p, kind, occ, bound)
+                q, s, text = cert.q, cert.s, None
+            else:
+                q, s, text = known
+                cert = cls(p, kind, occ, q, s)
             # p**s has more than s/4 digits, so a shorter claim cannot match;
             # checked before p is raised to an s that a forged repeats can make huge
-            if cert.s > 4 * len(str(data["bound"])):
-                raise ValueError(f"certificate field 'bound' is shorter than {p}**-{cert.s}")
-            rebuilt = cert.to_json()
+            if s > 4 * len(str(data["bound"])):
+                raise ValueError(f"certificate field 'bound' is shorter than {p}**-{s}")
+            rebuilt = cert._json(text or _bound_text(p, s))
             if rebuilt != data or [*map(type, rebuilt.values())] != [*map(type, data.values())]:
                 # name the field; data may also hold extra keys, or its own key order
                 for key, value in rebuilt.items():
@@ -160,6 +180,7 @@ class PlcCertificate:
                         )
         except KeyError as missing:
             raise ValueError(f"certificate is missing field {missing.args[0]!r}") from None
+        windows[window] = q, s, rebuilt["bound"]
         return cert
 
 
@@ -189,12 +210,14 @@ def _certificate(
     gives gcd = p**m - 1 and q = 1, the certificate of an exactly rational
     tail.  ``bound``, when given, is the period's ``gcd_bound``.
     """
-    _require_rule(kind, occ.whole_repeats)
+    _, period, r, f = occ
+    _require_rule(kind, r)
     if bound is None:
-        bound = gcd_bound(occ.period_word, p)
-    m, r, f = occ.period, occ.whole_repeats, occ.frac_len
-    s = m * (r - 2) + f if kind == KIND_SQUARE3 else m * (r - 1) + f - 2 * bound.ell
-    return PlcCertificate(p, kind, occ, bound.q_max, s)
+        bound = gcd_bound(period, p)
+    _, _, q, ell = bound
+    m = len(period)
+    s = m * (r - 2) + f if kind == KIND_SQUARE3 else m * (r - 1) + f - 2 * ell
+    return PlcCertificate(p, kind, occ, q, s)
 
 
 def certificate_from_occurrence(
@@ -218,12 +241,14 @@ def verify_certificate(prefix: str, cert: PlcCertificate, base: int) -> bool:
     the window matches, the bound holds for every continuation of the
     prefix, so digits after the window can never change the outcome.
     """
-    if base != cert.p:
-        raise ValueError(f"certificate is for base {cert.p}, got {base}")
-    required = cert.k + cert.window_len
+    p, _, occ, _, _ = cert
+    if base != p:
+        raise ValueError(f"certificate is for base {p}, got {base}")
+    k, period, repeats, frac_len = occ
+    required = k + repeats * len(period) + frac_len
     if len(prefix) < required:
         raise ValueError(f"need {required} letters, prefix has {len(prefix)}")
-    return cert.occurrence.matches(prefix)
+    return prefix[k:required] == occ.pattern()
 
 
 @dataclass(frozen=True)
@@ -442,13 +467,15 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     # at most as many as its period; so the clamp keeps the same
     # certificates, and it keeps the cuts of the kernel within int64
     target_s = min(max(target_s, -2 * n), n)
-    certs: list[PlcCertificate] = []
+    # (sort key, certificate) pairs; each key is unique to its certificate
+    certs: list[tuple[tuple[int, int, int, str], PlcCertificate]] = []
 
     def keep(kind: str, pos: int, period_len: int, window_len: int, bound: GcdBound) -> None:
         occ = RepetitionOccurrence(
             pos, prefix[pos : pos + period_len], *divmod(window_len, period_len)
         )
-        certs.append(certificate_from_occurrence(prefix, occ, base, kind, bound))
+        cert = certificate_from_occurrence(prefix, occ, base, kind, bound)
+        certs.append(((-cert.s, pos, period_len, kind), cert))
 
     # the window at pos has m + b - pos letters, so s = b - pos - 2 ell for
     # gcd and b - pos - m for square3; windows of whole copies are skipped
@@ -466,4 +493,5 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
             for pos in range(a, b - h):
                 keep(KIND_GCD, pos, m, 3 * h, bound)
 
-    return sorted(certs, key=lambda c: (-c.s, c.k, c.occurrence.period, c.kind))
+    certs.sort(key=itemgetter(0))
+    return [cert for _, cert in certs]

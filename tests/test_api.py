@@ -64,3 +64,27 @@ def test_every_import_is_used():
         if stale:
             unused[path.name] = stale
     assert unused == {}
+
+
+RECORDS = [
+    (
+        repetitions.RepetitionOccurrence(3, "01", 2, 1),
+        ("position", "period_word", "whole_repeats", "frac_len"),
+    ),
+    (repetitions.ComplementOccurrence(3, "01", 2), ("position", "period_word", "frac_len")),
+    (repetitions.OverlapOccurrence(3, "0", "1"), ("position", "u", "x")),
+    (
+        witness.PlcCertificate(2, "gcd", repetitions.RepetitionOccurrence(3, "01", 2, 1), 3, 1),
+        ("p", "kind", "occurrence", "q", "s"),
+    ),
+    (arithmetic.GcdBound(2, 1, 3, 2), ("m", "d", "q_max", "ell")),
+]
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_immutable_and_hashable(record, fields):
+    assert type(record)._fields == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert hash(record) == hash(type(record)(*record))

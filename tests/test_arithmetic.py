@@ -50,6 +50,24 @@ class TestWordValue:
             assert pw.word_value(word, base) == want
             assert pw.prefix_value(word, base) == Fraction(want, base ** len(word))
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_under_the_least_int_string_limit(self):
+        # 640 is the least limit Python accepts; blocks follow the limit in force
+        rng = random.Random(7)
+        words = [random_digit_word(rng, length, 3) for length in (640, 641, 1000, 2500)]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for word in words:
+                want = 0
+                for letter in word:
+                    want = want * 3 + int(letter)
+                assert pw.word_value(word, 3) == want
+        finally:
+            sys.set_int_max_str_digits(old)
+
 
 class TestPrefixValue:
     def test_examples(self):

@@ -410,6 +410,17 @@ class TestCertifyPipeline:
         assert sorted(calls) == sorted({(c["p"], c["period"]) for c in certs})
         assert len(calls) < len(certs)
 
+    @pytest.mark.parametrize("kind, text", [([], "[]"), ({}, "{}"), (1, "1"), (None, "None")])
+    @pytest.mark.parametrize("after_honest", [False, True], ids=["first", "after-honest"])
+    def test_malformed_kind_is_named(self, capsys, tmp_path, digits_file, kind, text, after_honest):
+        # an unhashable kind must fail the kind check, not a lookup of the window
+        path = digits_file("0101010")
+        certs = [HONEST_CERT] * after_honest + [{**HONEST_CERT, "kind": kind}]
+        cert_path = tmp_path / "bad.json"
+        cert_path.write_text(json.dumps({"certificates": certs}))
+        code, out, err = run_cli(capsys, "verify", "--digits", path, "--cert", str(cert_path))
+        assert (code, out, err) == (2, "", f"error: unknown certificate kind {text}\n")
+
 
 class TestOtherCommands:
     def test_bruteforce(self, capsys, digits_file):

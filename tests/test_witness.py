@@ -30,6 +30,7 @@ from plcword.witness import (
 )
 
 FIBONACCI_240 = pw.fixed_point_prefix(pw.parse_morphism("0->01;1->0"), "0", 240)
+PERIOD_DOUBLING_160 = pw.fixed_point_prefix(pw.parse_morphism("0->01;1->00"), "0", 160)
 
 
 def plant_repetition(rng, length, base=2):
@@ -802,6 +803,40 @@ class TestMutatedCertificates:
         # under p = 2 the period's digit check would fail, but only after these
         edited = {**data, "p": 2, field: value}
         assert outcome(edited) == outcome(edited, {}) == message
+
+
+class TestOneRebuildPerWindow:
+    """A shared dict works out each distinct window once and changes no outcome."""
+
+    @pytest.mark.parametrize(
+        "word", [FIBONACCI_240, PERIOD_DOUBLING_160], ids=["fibonacci", "period-doubling"]
+    )
+    def test_each_window_and_period_word_once(self, monkeypatch, word):
+        certs = pw.scan_and_certify(word, 2, 1)
+        certs_json = [c.to_json() for c in certs]
+        rebuilt, gcds = [], []
+        certificate, gcd_bound = witness._certificate, witness.gcd_bound
+
+        def logged_certificate(p, kind, occ, bound=None):
+            rebuilt.append((p, kind, occ.period_word, occ.whole_repeats, occ.frac_len))
+            return certificate(p, kind, occ, bound)
+
+        def logged_gcd_bound(period, p):
+            gcds.append((p, period))
+            return gcd_bound(period, p)
+
+        monkeypatch.setattr(witness, "_certificate", logged_certificate)
+        monkeypatch.setattr(witness, "gcd_bound", logged_gcd_bound)
+        shared = {}
+        assert [pw.PlcCertificate.from_json(data, shared) for data in certs_json] == certs
+        monkeypatch.undo()
+        windows = {(d["p"], d["kind"], d["period"], d["repeats"], d["frac_len"]) for d in certs_json}
+        assert sorted(rebuilt) == sorted(windows) and len(rebuilt) < len(certs)
+        assert sorted(gcds) == sorted({(d["p"], d["period"]) for d in certs_json})
+        for data in certs_json:
+            for field, value in mutations(data):
+                edited = {**data, field: value}
+                assert outcome(edited, shared) == outcome(edited)
 
 
 def outcome(data: dict, bounds: dict | None = None):
