@@ -5,6 +5,13 @@ empty quotient list), which makes the supremum of partial quotients
 well-defined.  ``sandwich_check`` relates that supremum to the minimum of
 q * ||q y|| over q below the denominator, the finite-rational analogue of
 the classical two-sided estimate 1/(sup+2) <= inf q||q y|| <= 1/sup.
+
+``cf_expand`` and ``orbit_max_quotient`` share one integer Euclid,
+``_quotients``, whose numerator and denominator need not be coprime: a
+factor common to both scales every remainder and leaves every quotient as
+it is.  ``orbit_max_quotient`` thus steps the numerator of the fractional
+part, num -> num * base % den, and builds no ``Fraction`` and takes no gcd
+per orbit point.
 """
 
 from __future__ import annotations
@@ -37,19 +44,22 @@ class ContinuedFraction:
         return self.a0 + acc
 
 
+def _quotients(num: int, den: int) -> list[int]:
+    """The partial quotients a_1, a_2, ... of num/den for 0 <= num < den,
+    by Euclid; the same for num/den in any terms, not only the lowest."""
+    quotients = []
+    while num:
+        a, r = divmod(den, num)
+        quotients.append(a)
+        den, num = num, r
+    return quotients
+
+
 def cf_expand(x: Fraction) -> ContinuedFraction:
     """Euclidean-algorithm expansion; reconstructing it returns x exactly."""
     x = Fraction(x)
-    a0 = x.numerator // x.denominator
-    num = x.numerator - a0 * x.denominator
-    den = x.denominator
-    quotients = []
-    p, q = den, num
-    while q:
-        a, r = divmod(p, q)
-        quotients.append(a)
-        p, q = q, r
-    return ContinuedFraction(a0, tuple(quotients))
+    a0, num = divmod(x.numerator, x.denominator)
+    return ContinuedFraction(a0, tuple(_quotients(num, x.denominator)))
 
 
 @dataclass(frozen=True)
@@ -68,19 +78,28 @@ def orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
 
     Orbit points that are integers contribute no quotients and are skipped;
     an integer x therefore yields no maximum at all.
+
+    For x = n/d in lowest terms, the fractional part of base**k * x is
+    num_k/d with num_k = n * base**k mod d, one multiplication and one
+    remainder after num_(k-1).  num_k/d need not be in lowest terms, but
+    Euclid's quotients do not depend on the terms, so every row is that of
+    ``cf_expand(base**k * x)``.
     """
     if max_k < 0:
         raise ValueError("max_k must be non-negative")
     x = Fraction(x)
+    den = x.denominator
+    num = x.numerator % den
     rows: list[tuple[int, int, int]] = []
     best_k = best_i = best = None
     for k in range(max_k + 1):
-        quotients = cf_expand(x * base**k).quotients
+        quotients = _quotients(num, den)
         rows.extend(zip(repeat(k), count(1), quotients))
         top = max(quotients, default=None)
         # a strict rise keeps the earliest k, and index the leftmost i
         if top is not None and (best is None or top > best):
             best_k, best_i, best = k, quotients.index(top) + 1, top
+        num = num * base % den
     return OrbitMaxResult(best, best_k, best_i, tuple(rows))
 
 

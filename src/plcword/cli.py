@@ -61,7 +61,9 @@ def _cmd_cert(args) -> dict:
     if depth > len(word):
         raise ValueError(f"word has only {len(word)} letters, asked for {depth}")
     certs = witness.scan_and_certify(word[:depth], args.p, args.target_s)
-    return {"certificates": [c.to_json() for c in certs]}
+    # one text of p**-s per distinct (p, s) of the list
+    texts = {ps: witness._bound_text(*ps) for ps in {(c.p, c.s) for c in certs}}
+    return {"certificates": [c._json(texts[c.p, c.s]) for c in certs]}
 
 
 def _cmd_verify(args) -> dict:
@@ -225,23 +227,26 @@ def _encode(level: int):
     return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
 
 
-def _scalars(values) -> bool:
-    """No dict, list or tuple among the values; ``map`` and ``set`` read the
-    types in C."""
-    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+def _scalars(types: set) -> bool:
+    """No dict, list or tuple among the types, which ``set(map(type,
+    values))`` reads in C."""
+    return not any(issubclass(t, (dict, list, tuple)) for t in types)
 
 
 def _rows(obj, level: int) -> str | None:
     """``_dumps`` of a list of dicts that share their str keys, in order, and
-    hold only scalars, with one encoder call over all the values; else None.
+    hold only scalars, with one call over all the values; else None.
 
-    Every value is encoded at once with a newline as the item separator, so
-    the text splits into one piece per value: no encoded scalar holds a raw
-    newline (``ensure_ascii`` escapes it).  The pieces are then interleaved
-    with the indented ``"key": `` heads.  A str key equals no key of another
-    JSON type, and no dict holds a key twice, so the chained keys of all the
-    rows equal the first row's keys repeated only if every row has exactly
-    those keys in that order.
+    If every value is a plain int (not a bool), that call is one ``%``
+    format of the row template repeated: ``%d`` writes an int as json does,
+    and raises the same ValueError past the int-to-str digit limit.
+    Otherwise every value is encoded at once with a newline as the item
+    separator, so the text splits into one piece per value: no encoded
+    scalar holds a raw newline (``ensure_ascii`` escapes it).  The pieces
+    are then interleaved with the indented ``"key": `` heads.  A str key
+    equals no key of another JSON type, and no dict holds a key twice, so
+    the chained keys of all the rows equal the first row's keys repeated
+    only if every row has exactly those keys in that order.
     """
     if set(map(type, obj)) != {dict}:
         return None
@@ -249,9 +254,15 @@ def _rows(obj, level: int) -> str | None:
     if set(map(type, keys)) != {str} or list(chain.from_iterable(obj)) != keys * len(obj):
         return None
     values = list(chain.from_iterable(map(dict.values, obj)))
-    if not _scalars(values):
-        return None
+    types = set(map(type, values))
     outer, inner, deeper = ("\n" + "  " * (level + d) for d in range(3))
+    if types == {int}:
+        fields = (_encode(0)(key).replace("%", "%%") + ": %d" for key in keys)
+        row = "{" + deeper + ("," + deeper).join(fields) + inner + "}"
+        body = ("," + inner).join(repeat(row, len(obj))) % tuple(values)
+        return "[" + inner + body + outer + "]"
+    if not _scalars(types):
+        return None
     pieces = iter(json.JSONEncoder(separators=("\n", ": ")).encode(values)[1:-1].split("\n"))
     heads = ["," + deeper + _encode(0)(key) + ": " for key in keys]
     heads[0] = inner + "}," + inner + "{" + heads[0][1:]
@@ -267,14 +278,14 @@ def _dumps(obj, level: int = 0) -> str:
     A dict or list of scalars is one encoder call a level deeper, its
     brackets then moved onto their own lines.  A list of dicts of scalars
     that share their str keys in order, such as certificates or ``orbit``
-    rows, is one encoder call over the flat list of all their values
-    (``_rows``).  Anything else recurses.
+    rows, is one encoder call over the flat list of all their values, or
+    one ``%`` format if they are all ints (``_rows``).  Anything else recurses.
     """
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _encode(0)(obj)
     outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
     is_dict = isinstance(obj, dict)
-    if _scalars(obj.values() if is_dict else obj):
+    if _scalars(set(map(type, obj.values() if is_dict else obj))):
         text = _encode(level + 1)(obj)
         return text[0] + inner + text[1:-1] + outer + text[-1]
     if is_dict:

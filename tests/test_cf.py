@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
@@ -69,12 +69,14 @@ class TestOrbitMaxQuotient:
                 assert cur >= prev
                 prev = cur
 
+    # up to the size of the perfbench orbit jobs: 256-bit parts and K = 48
     @given(
-        st.integers(-10**30, 10**30),
-        st.integers(1, 10**30),
+        st.integers(-(2**300), 2**300),
+        st.integers(1, 2**300),
         st.integers(2, 10),
-        st.integers(0, 12),
+        st.integers(0, 48),
     )
+    @settings(deadline=None)
     def test_matches_lambda_keyed_max(self, num, den, base, max_k):
         x = Fraction(num, den)
         assert pw.orbit_max_quotient(x, base, max_k) == naive_orbit_max_quotient(x, base, max_k)

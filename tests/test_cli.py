@@ -410,6 +410,22 @@ class TestCertifyPipeline:
         assert sorted(calls) == sorted({(c["p"], c["period"]) for c in certs})
         assert len(calls) < len(certs)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cert_writes_each_bound_text_once(self, capsys, monkeypatch, digits_file, p):
+        word = cli.words.fixed_point_prefix(cli.words.parse_morphism("0->01;1->0"), "0", 240)
+        want = [c.to_json() for c in cli.witness.scan_and_certify(word, p, 1)]
+        calls = []
+        bound_text = cli.witness._bound_text
+        monkeypatch.setattr(
+            cli.witness, "_bound_text", lambda p, s: calls.append((p, s)) or bound_text(p, s)
+        )
+        code, out, err = run_cli(capsys, "cert", "--digits", digits_file(word), "--p", str(p))
+        assert code == 0, err
+        # the bytes of one to_json per certificate
+        assert out == json.dumps({**json.loads(out), "result": {"certificates": want}}, indent=2) + "\n"
+        assert sorted(calls) == sorted({(c["p"], c["s"]) for c in want})
+        assert len(calls) < len(want)
+
     @pytest.mark.parametrize("kind, text", [([], "[]"), ({}, "{}"), (1, "1"), (None, "None")])
     @pytest.mark.parametrize("after_honest", [False, True], ids=["first", "after-honest"])
     def test_malformed_kind_is_named(self, capsys, tmp_path, digits_file, kind, text, after_honest):
@@ -471,8 +487,9 @@ class TestOtherCommands:
 
     def test_orbit_expands_each_point_once(self, capsys, monkeypatch):
         calls = []
-        expand = cli.cf.cf_expand
-        monkeypatch.setattr(cli.cf, "cf_expand", lambda x: calls.append(x) or expand(x))
+        quotients = cli.cf._quotients
+        monkeypatch.setattr(cli.cf, "_quotients", lambda n, d: calls.append((n, d)) or quotients(n, d))
+        monkeypatch.setattr(cli.cf, "cf_expand", None)  # the orbit steps integers only
         doc = run_json(capsys, "orbit", "--x", "5/7", "--p", "2", "--K", "48")
         assert len(calls) == 49
         assert len(doc["result"]["rows"]) > 49
@@ -583,16 +600,23 @@ KEYS = st.one_of(TRICKY_TEXT, st.text(), st.integers(), st.booleans(), st.none()
 ROWS = st.lists(st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4), min_size=1, max_size=4)
 
 
+# plain ints as ``orbit`` rows hold them, with 0 and negatives often
+INTS = st.integers() | st.integers(-3, 3)
+
+
 @st.composite
-def same_keyed_rows(draw):
+def same_keyed_rows(draw, scalars=SCALARS):
     """Rows with one drawn list of str keys, like certificates or orbit rows,
     sometimes with one row's keys reordered, one key missing or extra, one
-    key not a str, or one value nested."""
-    keys = draw(st.lists(TRICKY_TEXT | st.sampled_from(["%", "%s"]), min_size=1, max_size=4, unique=True))
+    key not a str, one value nested, one value a bool, or one value an int
+    of either sign past the int-to-str digit limit."""
+    keys = draw(st.lists(TRICKY_TEXT | st.sampled_from(["%", "%s", "%d"]), min_size=1, max_size=4, unique=True))
     count = draw(st.integers(1, 5))
-    values = draw(st.lists(SCALARS, min_size=count * len(keys), max_size=count * len(keys)))
+    values = draw(st.lists(scalars, min_size=count * len(keys), max_size=count * len(keys)))
     rows = [dict(zip(keys, values[i * len(keys):])) for i in range(count)]
-    mutation = draw(st.sampled_from([None, None, "reorder", "missing", "extra", "non-str", "nested"]))
+    mutation = draw(st.sampled_from(
+        [None, None, "reorder", "missing", "extra", "non-str", "nested", "bool", "past-limit"]
+    ))
     i = draw(st.integers(0, count - 1))
     key = draw(st.sampled_from(keys))
     if mutation == "reorder":
@@ -600,17 +624,21 @@ def same_keyed_rows(draw):
     elif mutation == "missing":
         del rows[i][key]
     elif mutation == "extra":
-        rows[i][draw(TRICKY_TEXT.filter(lambda k: k not in keys))] = draw(SCALARS)
+        rows[i][draw(TRICKY_TEXT.filter(lambda k: k not in keys))] = draw(scalars)
     elif mutation == "non-str":
         other = draw(st.one_of(st.integers(), st.booleans(), st.none(), st.floats()))
         rows[i] = {other if k == key else k: v for k, v in rows[i].items()}
     elif mutation == "nested":
         rows[i][key] = draw(st.sampled_from([[], {}, [rows[i][key]], {key: rows[i][key]}]))
+    elif mutation == "bool":
+        rows[i][key] = draw(st.booleans())
+    elif mutation == "past-limit":
+        rows[i][key] = draw(st.sampled_from([1, -1])) * 10**4400 + draw(st.integers(-3, 3))
     return draw(st.sampled_from([rows, tuple(rows)]))
 
 
 JSON_VALUES = st.recursive(
-    SCALARS | ROWS | same_keyed_rows(),
+    SCALARS | ROWS | same_keyed_rows() | same_keyed_rows(INTS),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -642,6 +670,8 @@ class TestWriter:
             [{"k": 10**4400}], {"deep": [[[{"a": [1]}]]]},
             [{"a": 1}, {"a": 10**4400}], [{"a": float("nan")}, {"a": float("inf")}],
             ({"k": 1}, {"k": 2}), [{"b": 1, "a": 2}, {"a": 2, "b": 1}], [{1: 2}, {True: 2}],
+            [{"a": True}, {"a": 1}], [{"%d": 1}, {"%d": 2}], [{"a": 1}, {"a": 1.0}],
+            [{"a": -(10**4400)}, {"a": 0}], [{"%": -1, "%s": 0, "b": 10**4299}],
         ],
     )
     def test_edge_cases(self, obj):
