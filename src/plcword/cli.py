@@ -45,12 +45,21 @@ def _cmd_detect(args) -> dict:
     word = digits_io(args.digits, args.p)
     if args.kind == "overlap":
         occs = repetitions.find_overlaps(word, args.limit)
-    elif args.kind == "complement":
+        return {"overlaps": _Rows(repetitions._OVERLAP_KEYS, occs)}
+    keys = ("pos", "period", "repeats", "frac_len")
+    if args.kind == "complement":
         occs = repetitions.find_complement_squares(word, args.p, args.min_frac, args.limit)
-    else:
-        occs = repetitions.find_fractional_squares(word, args.min_frac, args.squares, args.limit)
-    key = "overlaps" if args.kind == "overlap" else "occurrences"
-    return {key: [o.to_json() for o in occs]}
+        rows = [(pos, v, 1, f, True) for pos, v, f in occs]
+        return {"occurrences": _Rows((*keys, "complement"), rows)}
+    occs = repetitions.find_fractional_squares(word, args.min_frac, args.squares, args.limit)
+    return {"occurrences": _Rows(keys, occs)}
+
+
+def _certificate_rows(certs) -> _Rows:
+    """The certificates as ``cert`` writes them, with one text of p**-s per
+    distinct (p, s) of the list."""
+    texts = {ps: witness._bound_text(*ps) for ps in {(c.p, c.s) for c in certs}}
+    return _Rows(witness._CERT_KEYS, [c._row(texts[c.p, c.s]) for c in certs])
 
 
 def _cmd_cert(args) -> dict:
@@ -61,9 +70,7 @@ def _cmd_cert(args) -> dict:
     if depth > len(word):
         raise ValueError(f"word has only {len(word)} letters, asked for {depth}")
     certs = witness.scan_and_certify(word[:depth], args.p, args.target_s)
-    # one text of p**-s per distinct (p, s) of the list
-    texts = {ps: witness._bound_text(*ps) for ps in {(c.p, c.s) for c in certs}}
-    return {"certificates": [c._json(texts[c.p, c.s]) for c in certs]}
+    return {"certificates": _certificate_rows(certs)}
 
 
 def _cmd_verify(args) -> dict:
@@ -86,13 +93,12 @@ def _cmd_verify(args) -> dict:
     for data in cert_list:
         cert = witness.PlcCertificate.from_json(data, bounds)
         ok = witness.verify_certificate(word, cert, args.p)
-        results.append({
-            "combinatorial_ok": ok,
-            "window_checked": cert.window_len,
-            # from_json checked the field against p**-s, with s worked out from the window
-            "guaranteed_bound": data["bound"] if ok else None,
-        })
-    return {"results": results} if "certificates" in payload else results[0]
+        # from_json checked the bound against p**-s, with s worked out from the window
+        results.append((ok, cert.window_len, data["bound"] if ok else None))
+    keys = ("combinatorial_ok", "window_checked", "guaranteed_bound")
+    if "certificates" in payload:
+        return {"results": _Rows(keys, results)}
+    return dict(zip(keys, results[0]))
 
 
 def _cmd_bruteforce(args) -> dict:
@@ -114,7 +120,7 @@ def _cmd_cf(args) -> dict:
 def _cmd_orbit(args) -> dict:
     best = cf.orbit_max_quotient(arithmetic.parse_rational(args.x), args.p, args.K)
     return {
-        "rows": [{"k": k, "i": i, "a": a} for k, i, a in best.rows],
+        "rows": _Rows(("k", "i", "a"), best.rows),
         "max": {"a": best.max_quotient, "k": best.k, "i": best.i},
     }
 
@@ -124,7 +130,7 @@ def _cmd_decompose(args) -> dict:
     chain = tm.extract_tm_prefix(word)
     return {
         **dataclasses.asdict(chain),
-        "levels": [{"u": u, "v": v} for u, v in chain.levels],
+        "levels": _Rows(("u", "v"), chain.levels),
     }
 
 
@@ -227,60 +233,78 @@ def _encode(level: int):
     return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
 
 
+class _Rows:
+    """A list of rows that share their str keys, declared by the command
+    that builds it: ``keys`` in order, and ``rows`` an iterable of rows,
+    each an iterable (a tuple, say) of its values in key order.  It is
+    written as ``json.dumps`` writes ``[dict(zip(keys, row)) for row in
+    rows]``, by ``_rows``.  It is neither a list nor a tuple, so no encoder
+    can write it as an array by mistake."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: tuple[str, ...], rows):
+        self.keys = keys
+        self.rows = rows
+
+
 def _scalars(types: set) -> bool:
-    """No dict, list or tuple among the types, which ``set(map(type,
-    values))`` reads in C."""
-    return not any(issubclass(t, (dict, list, tuple)) for t in types)
+    """No dict, list, tuple or ``_Rows`` among the types, which
+    ``set(map(type, values))`` reads in C."""
+    return not any(issubclass(t, (dict, list, tuple, _Rows)) for t in types)
 
 
-def _rows(obj, level: int) -> str | None:
-    """``_dumps`` of a list of dicts that share their str keys, in order, and
-    hold only scalars, with one call over all the values; else None.
+def _rows(obj: _Rows, level: int) -> str:
+    """``_dumps`` of declared rows, with one call over all their values.
 
+    The values are flattened in row order and must fill whole rows of
+    ``len(keys)`` values (AssertionError otherwise); no rows write ``[]``.
     If every value is a plain int (not a bool), that call is one ``%``
     format of the row template repeated: ``%d`` writes an int as json does,
     and raises the same ValueError past the int-to-str digit limit.
-    Otherwise every value is encoded at once with a newline as the item
-    separator, so the text splits into one piece per value: no encoded
-    scalar holds a raw newline (``ensure_ascii`` escapes it).  The pieces
-    are then interleaved with the indented ``"key": `` heads.  A str key
-    equals no key of another JSON type, and no dict holds a key twice, so
-    the chained keys of all the rows equal the first row's keys repeated
-    only if every row has exactly those keys in that order.
+    Otherwise every value, which must be a scalar (TypeError otherwise), is
+    encoded at once with a newline as the item separator, so the text
+    splits into one piece per value: no encoded scalar holds a raw newline
+    (``ensure_ascii`` escapes it).  The pieces are then interleaved with the
+    indented ``"key": `` heads.
     """
-    if set(map(type, obj)) != {dict}:
-        return None
-    keys = list(obj[0])
-    if set(map(type, keys)) != {str} or list(chain.from_iterable(obj)) != keys * len(obj):
-        return None
-    values = list(chain.from_iterable(map(dict.values, obj)))
+    keys = obj.keys
+    values = tuple(chain.from_iterable(obj.rows))
+    count, rest = divmod(len(values), len(keys))
+    assert not rest, f"{len(values)} values do not fill rows of the {len(keys)} keys {keys}"
+    if not count:
+        return "[]"
     types = set(map(type, values))
     outer, inner, deeper = ("\n" + "  " * (level + d) for d in range(3))
     if types == {int}:
         fields = (_encode(0)(key).replace("%", "%%") + ": %d" for key in keys)
         row = "{" + deeper + ("," + deeper).join(fields) + inner + "}"
-        body = ("," + inner).join(repeat(row, len(obj))) % tuple(values)
-        return "[" + inner + body + outer + "]"
+        return ("[" + inner + ("," + inner).join(repeat(row, count)) + outer + "]") % values
     if not _scalars(types):
-        return None
+        raise TypeError(f"row values must be scalars, got {sorted(t.__name__ for t in types)}")
     pieces = iter(json.JSONEncoder(separators=("\n", ": ")).encode(values)[1:-1].split("\n"))
     heads = ["," + deeper + _encode(0)(key) + ": " for key in keys]
-    heads[0] = inner + "}," + inner + "{" + heads[0][1:]
-    # zip(repeat(head_0), pieces, repeat(head_1), pieces, ...) yields one row at a time
+    heads[0] = "," + inner + "{" + heads[0][1:]
+    # zip(repeat(head_0), pieces, repeat(head_1), pieces, ..., repeat(close))
+    # yields one row at a time
     columns = chain.from_iterable((repeat(head), pieces) for head in heads)
-    body = "".join(chain.from_iterable(zip(*columns)))
-    return "[" + body[len(inner) + 2:] + inner + "}" + outer + "]"
+    text = chain.from_iterable(zip(*columns, repeat(inner + "}")))
+    next(text)  # the first row's head, whose comma would follow no row
+    return "".join(chain(["[" + heads[0][1:]], text, [outer + "]"]))
 
 
 def _dumps(obj, level: int = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, with the C encoder doing the work.
+    """Exactly ``json.dumps(obj, indent=2)``, with the C encoder doing the work,
+    where a ``_Rows`` is written as its list of dicts.
 
-    A dict or list of scalars is one encoder call a level deeper, its
-    brackets then moved onto their own lines.  A list of dicts of scalars
-    that share their str keys in order, such as certificates or ``orbit``
-    rows, is one encoder call over the flat list of all their values, or
-    one ``%`` format if they are all ints (``_rows``).  Anything else recurses.
+    Declared rows, such as certificates or ``orbit`` rows, are one encoder
+    call over the flat tuple of all their values, or one ``%`` format if they
+    are all ints (``_rows``).  A dict or list of scalars is one encoder call
+    a level deeper, its brackets then moved onto their own lines.  Anything
+    else recurses item by item, a plain list of dicts included.
     """
+    if isinstance(obj, _Rows):
+        return _rows(obj, level)
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _encode(0)(obj)
     outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
@@ -293,9 +317,7 @@ def _dumps(obj, level: int = 0) -> str:
         items = (_encode(0)({key: None})[1:-7] + ": " + _dumps(value, level + 1)
                  for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + outer + "}"
-    return _rows(obj, level) or (
-        "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in obj) + outer + "]"
-    )
+    return "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in obj) + outer + "]"
 
 
 @functools.cache

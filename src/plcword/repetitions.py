@@ -113,9 +113,9 @@ class RepetitionOccurrence(NamedTuple):
         end = pos + r * len(v) + f
         return end <= len(word) and word[pos:end] == self.pattern()
 
-    def to_json(self) -> dict:
-        pos, v, r, f = self
-        return {"pos": pos, "period": v, "repeats": r, "frac_len": f}
+
+# the keys of an overlap's JSON object, in field order
+_OVERLAP_KEYS = ("pos", "u", "x")
 
 
 class OverlapOccurrence(NamedTuple):
@@ -133,8 +133,7 @@ class OverlapOccurrence(NamedTuple):
         return end <= len(word) and word[self.position : end] == self.pattern()
 
     def to_json(self) -> dict:
-        pos, u, x = self
-        return {"pos": pos, "u": u, "x": x}
+        return dict(zip(_OVERLAP_KEYS, self))
 
 
 class ComplementOccurrence(NamedTuple):
@@ -152,10 +151,6 @@ class ComplementOccurrence(NamedTuple):
     def pattern(self, base: int) -> str:
         v = self.period_word
         return v + complement(v, base) + v[: self.frac_len]
-
-    def to_json(self) -> dict:
-        pos, v, f = self
-        return {"pos": pos, "period": v, "repeats": 1, "frac_len": f, "complement": True}
 
 
 def _first_by_position(

@@ -62,6 +62,8 @@ __all__ = [
 
 KIND_SQUARE3 = "square3"
 KIND_GCD = "gcd"
+# the keys of a certificate's JSON object, in order
+_CERT_KEYS = ("p", "kind", "k", "q", "period", "repeats", "frac_len", "s", "bound", "vacuous")
 
 
 class PlcCertificate(NamedTuple):
@@ -96,23 +98,13 @@ class PlcCertificate(NamedTuple):
         return self.occurrence.window_len
 
     def to_json(self) -> dict:
-        return self._json(_bound_text(self.p, self.s))
+        return dict(zip(_CERT_KEYS, self._row(_bound_text(self.p, self.s))))
 
-    def _json(self, bound_text: str) -> dict:
-        """``to_json`` with the text of p**-s given."""
+    def _row(self, bound_text: str) -> tuple:
+        """The values of ``to_json``, in the order of ``_CERT_KEYS``, with the
+        text of p**-s given."""
         p, kind, (k, period, repeats, frac_len), q, s = self
-        return {
-            "p": p,
-            "kind": kind,
-            "k": k,
-            "q": q,
-            "period": period,
-            "repeats": repeats,
-            "frac_len": frac_len,
-            "s": s,
-            "bound": bound_text,
-            "vacuous": s <= 0,
-        }
+        return p, kind, k, q, period, repeats, frac_len, s, bound_text, s <= 0
 
     @classmethod
     def from_json(cls, data: dict, bounds: dict | None = None) -> "PlcCertificate":
@@ -169,10 +161,12 @@ class PlcCertificate(NamedTuple):
             # checked before p is raised to an s that a forged repeats can make huge
             if s > 4 * len(str(data["bound"])):
                 raise ValueError(f"certificate field 'bound' is shorter than {p}**-{s}")
-            rebuilt = cert._json(text or _bound_text(p, s))
-            if rebuilt != data or [*map(type, rebuilt.values())] != [*map(type, data.values())]:
+            text = text or _bound_text(p, s)
+            rebuilt, claims = cert._row(text), tuple(data.values())
+            same_types = tuple(map(type, claims)) == tuple(map(type, rebuilt))
+            if tuple(data) != _CERT_KEYS or claims != rebuilt or not same_types:
                 # name the field; data may also hold extra keys, or its own key order
-                for key, value in rebuilt.items():
+                for key, value in zip(_CERT_KEYS, rebuilt):
                     claim = data[key]
                     if type(claim) is not type(value) or claim != value:
                         raise ValueError(
@@ -180,7 +174,7 @@ class PlcCertificate(NamedTuple):
                         )
         except KeyError as missing:
             raise ValueError(f"certificate is missing field {missing.args[0]!r}") from None
-        windows[window] = q, s, rebuilt["bound"]
+        windows[window] = q, s, text
         return cert
 
 

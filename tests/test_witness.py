@@ -653,6 +653,20 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             pw.PlcCertificate.from_json(data)
 
+    @pytest.mark.parametrize(
+        "field", ["p", "kind", "k", "q", "period", "repeats", "frac_len", "s", "bound", "vacuous"]
+    )
+    def test_renamed_field_is_missing(self, field):
+        # the same values in the same order, one key renamed in place
+        occ = pw.RepetitionOccurrence(3, "010", 2, 2)
+        data = pw.certificate_from_occurrence("111" + "01001001", occ, 2, "gcd").to_json()
+        data = {key + "_" * (key == field): value for key, value in data.items()}
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            pw.PlcCertificate.from_json(data)
+        # extra keys and another key order are accepted
+        data[field] = data.pop(field + "_")
+        assert pw.PlcCertificate.from_json({"note": 1, **data}) == pw.PlcCertificate.from_json(data)
+
     def test_round_trip_past_the_int_string_limit(self):
         # s = 14,996, so the bound's denominator has 4,515 digits: more than
         # str() converts by default

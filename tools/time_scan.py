@@ -3,7 +3,7 @@
 For a length n, prints one line per word: the seconds one
 ``scan_and_certify(word, 2, 1)`` call takes, the number of certificates
 it returns, the seconds to encode them as ``cert`` prints its result
-(``PlcCertificate.to_json`` and the CLI's JSON writer), the seconds to
+(the CLI's certificate rows and JSON writer), the seconds to
 check them again as ``verify`` checks a list (``PlcCertificate.from_json``
 with one shared dict of gcd bounds, then ``verify_certificate``, on the
 certificates read back from that JSON text), and the sha256 of that text,
@@ -33,7 +33,7 @@ from plcword import (
     thue_morse_prefix,
     verify_certificate,
 )
-from plcword.cli import _dumps
+from plcword.cli import _certificate_rows, _dumps
 
 TARGET_S = 1
 
@@ -60,7 +60,7 @@ def main() -> None:
         start = time.perf_counter()
         certs = scan_and_certify(word, 2, TARGET_S)
         scanned = time.perf_counter()
-        text = _dumps({"certificates": [c.to_json() for c in certs]})
+        text = _dumps({"certificates": _certificate_rows(certs)})
         encoded = time.perf_counter()
         read_back = json.loads(text)["certificates"]
         parsed = time.perf_counter()
