@@ -48,11 +48,12 @@ def _digits_value(word: str, base: int) -> int:
 
     ``int`` refuses more digits than ``sys.get_int_max_str_digits()`` (4,300
     by default; 0 is no limit) in a base that is not a power of two, so a
-    longer word is split in halves, each converted alike: its value is
-    high * base**len(low) + low.  Interpreters without the limit never split.
+    longer word in such a base is split in halves, each converted alike: its
+    value is high * base**len(low) + low.  A power-of-two base and an
+    interpreter without the limit never split.
     """
     limit = _max_str_digits()
-    if not limit or len(word) <= limit:
+    if not limit or len(word) <= limit or not base & (base - 1):
         return int(word, base)
     half = len(word) // 2
     high, low = word[:half], word[half:]

@@ -236,10 +236,12 @@ def _encode(level: int):
 class _Rows:
     """A list of rows that share their str keys, declared by the command
     that builds it: ``keys`` in order, and ``rows`` an iterable of rows,
-    each an iterable (a tuple, say) of its values in key order.  It is
-    written as ``json.dumps`` writes ``[dict(zip(keys, row)) for row in
-    rows]``, by ``_rows``.  It is neither a list nor a tuple, so no encoder
-    can write it as an array by mistake."""
+    each an iterable (a tuple, say) of exactly ``len(keys)`` values in key
+    order.  It is written as ``json.dumps`` writes ``[dict(zip(keys, row))
+    for row in rows]``, by ``_rows``.  It is neither a list nor a tuple, so
+    no encoder can write it as an array by mistake.  ``_rows`` checks only
+    that the values fill whole rows, so a row of another width would put
+    values under the wrong keys; the tests check every producer's rows."""
 
     __slots__ = ("keys", "rows")
 

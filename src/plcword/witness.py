@@ -19,6 +19,12 @@ window alone:
 s may be zero or negative, in which case the certificate is valid but
 vacuous (its bound is >= 1) and is flagged rather than dropped.
 
+A certificate is one flat record, (p, kind, k, q, period, repeats,
+frac_len, s), whose fields are the first keys of its JSON object, and
+``_certificate`` is the one place that works q and s out.  The scan builds
+each certificate straight from a run that one comparison has checked;
+``certificate_from_occurrence`` checks a single window instead.
+
 Verification trusts no number in a certificate: ``from_json`` works q, s
 and the bound out again from p, kind and the window.  A certificate list
 shares one dict that holds a gcd bound per distinct p and period word and,
@@ -62,28 +68,27 @@ __all__ = [
 
 KIND_SQUARE3 = "square3"
 KIND_GCD = "gcd"
-# the keys of a certificate's JSON object, in order
-_CERT_KEYS = ("p", "kind", "k", "q", "period", "repeats", "frac_len", "s", "bound", "vacuous")
 
 
 class PlcCertificate(NamedTuple):
-    """A verified-window approximation certificate (p, kind, k, q, bound).
+    """A verified-window approximation certificate: the window
+    period * repeats + period[:frac_len] read at position k.
 
-    The window is occurrence.pattern() read at position k; whenever a digit
-    word begins with k arbitrary digits followed by that window, every real
-    x extending it satisfies q * ||q p^k x|| < bound = p**-s.  q and s are
-    functions of p, kind and the window, worked out only by ``_certificate``.
+    Whenever a digit word begins with k arbitrary digits followed by that
+    window, every real x extending it satisfies q * ||q p^k x|| < bound =
+    p**-s.  q and s are functions of p, kind and the window, worked out only
+    by ``_certificate``.  The fields are the first keys of ``to_json``, in
+    order.
     """
 
     p: int
     kind: str
-    occurrence: RepetitionOccurrence
+    k: int
     q: int
+    period: str
+    repeats: int
+    frac_len: int
     s: int
-
-    @property
-    def k(self) -> int:
-        return self.occurrence.position
 
     @property
     def bound(self) -> Fraction:
@@ -95,7 +100,7 @@ class PlcCertificate(NamedTuple):
 
     @property
     def window_len(self) -> int:
-        return self.occurrence.window_len
+        return self.repeats * len(self.period) + self.frac_len
 
     def to_json(self) -> dict:
         return dict(zip(_CERT_KEYS, self._row(_bound_text(self.p, self.s))))
@@ -103,8 +108,7 @@ class PlcCertificate(NamedTuple):
     def _row(self, bound_text: str) -> tuple:
         """The values of ``to_json``, in the order of ``_CERT_KEYS``, with the
         text of p**-s given."""
-        p, kind, (k, period, repeats, frac_len), q, s = self
-        return p, kind, k, q, period, repeats, frac_len, s, bound_text, s <= 0
+        return (*self, bound_text, self.s <= 0)
 
     @classmethod
     def from_json(cls, data: dict, bounds: dict | None = None) -> "PlcCertificate":
@@ -142,7 +146,6 @@ class PlcCertificate(NamedTuple):
                 raise ValueError("certificate period must be a digit string")
             if not 0 <= frac_len < len(period):
                 raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
-            occ = RepetitionOccurrence(k, period, repeats, frac_len)
             kind = data["kind"]
             _require_rule(kind, repeats)  # before the gcd, as in _certificate
             entry = bounds.get((p, period))
@@ -152,11 +155,11 @@ class PlcCertificate(NamedTuple):
             window = kind, repeats, frac_len
             known = windows.get(window)
             if known is None:
-                cert = _certificate(p, kind, occ, bound)
+                cert = _certificate(p, kind, k, period, repeats, frac_len, bound)
                 q, s, text = cert.q, cert.s, None
             else:
                 q, s, text = known
-                cert = cls(p, kind, occ, q, s)
+                cert = cls(p, kind, k, q, period, repeats, frac_len, s)
             # p**s has more than s/4 digits, so a shorter claim cannot match;
             # checked before p is raised to an s that a forged repeats can make huge
             if s > 4 * len(str(data["bound"])):
@@ -178,6 +181,10 @@ class PlcCertificate(NamedTuple):
         return cert
 
 
+# the keys of a certificate's JSON object, in order
+_CERT_KEYS = (*PlcCertificate._fields, "bound", "vacuous")
+
+
 def _bound_text(p: int, s: int) -> str:
     """``format_rational(Fraction(p) ** -s)`` without the ``Fraction``:
     p**-s is already in lowest terms."""
@@ -196,36 +203,32 @@ def _require_rule(kind: str, repeats: int) -> None:
 
 
 def _certificate(
-    p: int, kind: str, occ: RepetitionOccurrence, bound: GcdBound | None = None
+    p: int, kind: str, k: int, period: str, r: int, f: int, bound: GcdBound | None = None
 ) -> PlcCertificate:
-    """The certificate of a window: q and s from its period, copies and tail.
+    """The certificate of the window period * r + period[:f] at k: q and s
+    from its period, copies and tail.
 
     See the module docstring for the two score rules.  An all-zero period
     gives gcd = p**m - 1 and q = 1, the certificate of an exactly rational
-    tail.  ``bound``, when given, is the period's ``gcd_bound``.
+    tail.  ``bound``, when given, must be the ``gcd_bound`` of a rotation of
+    the period: gcd(p**m - 1, value(v)) is the same for every rotation of v.
     """
-    _, period, r, f = occ
     _require_rule(kind, r)
     if bound is None:
         bound = gcd_bound(period, p)
     _, _, q, ell = bound
     m = len(period)
     s = m * (r - 2) + f if kind == KIND_SQUARE3 else m * (r - 1) + f - 2 * ell
-    return PlcCertificate(p, kind, occ, q, s)
+    return PlcCertificate(p, kind, k, q, period, r, f, s)
 
 
 def certificate_from_occurrence(
-    word: str, occ: RepetitionOccurrence, base: int, kind: str,
-    bound: GcdBound | None = None,
+    word: str, occ: RepetitionOccurrence, base: int, kind: str
 ) -> PlcCertificate:
-    """Build a certificate from a genuine occurrence (re-verified in word).
-
-    ``bound``, if given, must be the ``gcd_bound`` of a rotation of the
-    period: gcd(p**m - 1, value(v)) is the same for every rotation of v.
-    """
+    """Build a certificate from a genuine occurrence (re-verified in word)."""
     if not occ.matches(word):
         raise ValueError("occurrence does not match the word")
-    return _certificate(base, kind, occ, bound)
+    return _certificate(base, kind, *occ)
 
 
 def verify_certificate(prefix: str, cert: PlcCertificate, base: int) -> bool:
@@ -235,14 +238,13 @@ def verify_certificate(prefix: str, cert: PlcCertificate, base: int) -> bool:
     the window matches, the bound holds for every continuation of the
     prefix, so digits after the window can never change the outcome.
     """
-    p, _, occ, _, _ = cert
+    p, _, k, _, period, repeats, frac_len, _ = cert
     if base != p:
         raise ValueError(f"certificate is for base {p}, got {base}")
-    k, period, repeats, frac_len = occ
     required = k + repeats * len(period) + frac_len
     if len(prefix) < required:
         raise ValueError(f"need {required} letters, prefix has {len(prefix)}")
-    return prefix[k:required] == occ.pattern()
+    return prefix[k:required] == period * repeats + period[:frac_len]
 
 
 @dataclass(frozen=True)
@@ -440,7 +442,10 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     window's score falls with its position, so the kept windows of a run
     are one range of positions worked out from the run's end.  Which runs
     can keep a window is decided once, in ``_plain_runs``, and each run it
-    yields takes one gcd.
+    yields takes one gcd and one comparison of its stretch with itself
+    shifted by the period, which covers every window it yields, so no
+    window is read again.  A run that fails it is a fault of the kernel,
+    raised as AssertionError.
 
     Complement squares need no pass of their own.  A complement run
     (h, a, b + h), with prefix[j + h] the complement of prefix[j] for
@@ -463,29 +468,27 @@ def scan_and_certify(prefix: str, base: int, target_s: int) -> list[PlcCertifica
     target_s = min(max(target_s, -2 * n), n)
     # (sort key, certificate) pairs; each key is unique to its certificate
     certs: list[tuple[tuple[int, int, int, str], PlcCertificate]] = []
-
-    def keep(kind: str, pos: int, period_len: int, window_len: int, bound: GcdBound) -> None:
-        occ = RepetitionOccurrence(
-            pos, prefix[pos : pos + period_len], *divmod(window_len, period_len)
-        )
-        cert = certificate_from_occurrence(prefix, occ, base, kind, bound)
-        certs.append(((-cert.s, pos, period_len, kind), cert))
-
     # the window at pos has m + b - pos letters, so s = b - pos - 2 ell for
     # gcd and b - pos - m for square3; windows of whole copies are skipped
     for m, a, b in _plain_runs(prefix, base, target_s):
+        # every window below lies in prefix[a:b + m], so this checks them all
+        if prefix[a + m : b + m] != prefix[a:b]:
+            raise AssertionError(f"no run of period {m} spans prefix[{a}:{b + m}]")
         bound = _gcd_bound(_digits_value(prefix[a : a + m], base), m, base)
         plain = range(a, b - max(target_s + 2 * bound.ell, 1) + 1)
         square3 = range(a, b - m - max(target_s, 0) + 1)
         for kind, kept in ((KIND_GCD, plain), (KIND_SQUARE3, square3)):
             for pos in kept:
-                if (b - pos) % m:
-                    keep(kind, pos, m, m + b - pos, bound)
+                r, f = divmod(m + b - pos, m)
+                if f:
+                    cert = _certificate(base, kind, pos, prefix[pos : pos + m], r, f, bound)
+                    certs.append(((-cert.s, pos, m, kind), cert))
         h = m // 2
         # a period word v v~: the windows v v~ v before the run's last h positions
         if not m % 2 and h - 2 * bound.ell >= target_s and prefix[a + h : a + m] == image[a : a + h]:
             for pos in range(a, b - h):
-                keep(KIND_GCD, pos, m, 3 * h, bound)
+                cert = _certificate(base, KIND_GCD, pos, prefix[pos : pos + m], 1, h, bound)
+                certs.append(((-cert.s, pos, m, KIND_GCD), cert))
 
     certs.sort(key=itemgetter(0))
     return [cert for _, cert in certs]

@@ -229,7 +229,7 @@ def naive_scan_and_certify(prefix: str, base: int, target_s: int) -> list:
             add(occ, "square3")
     for comp in naive_complement_squares(prefix, base, 1):
         add(complement_to_gcd_occurrence(comp, base), "gcd")
-    return sorted(seen.values(), key=lambda c: (-c.s, c.k, c.occurrence.period, c.kind))
+    return sorted(seen.values(), key=lambda c: (-c.s, c.k, len(c.period), c.kind))
 
 
 def _naive_dist_interval(a: int, b: int, den: int) -> tuple[Fraction, Fraction]:

@@ -74,8 +74,8 @@ RECORDS = [
     (repetitions.ComplementOccurrence(3, "01", 2), ("position", "period_word", "frac_len")),
     (repetitions.OverlapOccurrence(3, "0", "1"), ("position", "u", "x")),
     (
-        witness.PlcCertificate(2, "gcd", repetitions.RepetitionOccurrence(3, "01", 2, 1), 3, 1),
-        ("p", "kind", "occurrence", "q", "s"),
+        witness.PlcCertificate(2, "gcd", 3, 3, "01", 2, 1, 1),
+        ("p", "kind", "k", "q", "period", "repeats", "frac_len", "s"),
     ),
     (arithmetic.GcdBound(2, 1, 3, 2), ("m", "d", "q_max", "ell")),
 ]

@@ -68,6 +68,34 @@ class TestWordValue:
         finally:
             sys.set_int_max_str_digits(old)
 
+    @pytest.mark.parametrize("base", [2, 3, 4, 8, 10])
+    def test_splits_only_where_int_has_a_limit(self, monkeypatch, base):
+        # int() has no digit limit in a power-of-two base, so one call reads any length
+        calls = []
+        digits_value = arithmetic._digits_value
+
+        def logged(word, b):
+            calls.append(len(word))
+            return digits_value(word, b)
+
+        monkeypatch.setattr(arithmetic, "_digits_value", logged)
+        monkeypatch.setattr(arithmetic, "_max_str_digits", lambda: 640)
+        word = random_digit_word(random.Random(base), 5000, base)
+        want = 0
+        for letter in word:
+            want = want * base + int(letter)
+        assert arithmetic._digits_value(word, base) == want
+        if base & (base - 1):
+            # halved until each piece is within the limit: 1 + 2 + 4 + 8 calls
+            assert sorted(calls) == [625] * 8 + [1250] * 4 + [2500] * 2 + [5000]
+        else:
+            assert calls == [5000]
+            # a letter that is no digit still raises, from that one call
+            calls.clear()
+            with pytest.raises(ValueError):
+                arithmetic._digits_value(word[:2500] + "x" + word[2500:], base)
+            assert calls == [5001]
+
 
 class TestPrefixValue:
     def test_examples(self):

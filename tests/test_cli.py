@@ -257,6 +257,13 @@ class TestCertifyPipeline:
         assert len(results) == len(certs) > 0
         assert all(r["combinatorial_ok"] for r in results)
 
+    def test_a_false_run_is_an_internal_error(self, capsys, monkeypatch, digits_file):
+        path = digits_file("0110100110010110")
+        monkeypatch.setattr(cli.witness, "_plain_runs", lambda *args: iter([(2, 0, 6)]))
+        code, out, err = run_cli(capsys, "cert", "--digits", path, "--target-s", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: no run of period 2 spans prefix[0:8]")
+
     @pytest.mark.parametrize(
         "content, depth",
         [("0110", ["--depth", "0"]), ("0110", ["--depth", "5"]), ("", [])],

@@ -392,7 +392,7 @@ class TestScanAndCertify:
         assert certs
         best = certs[0]
         assert best.kind == "square3"
-        assert best.occurrence.period_word in ("011", "110", "101")
+        assert best.period in ("011", "110", "101")
         assert best.s >= 30 // 3 - 3
         deeper = pw.scan_and_certify("011" * 20, 2, 4)
         assert deeper[0].s > best.s
@@ -409,7 +409,7 @@ class TestScanAndCertify:
         comp = [
             c
             for c in certs
-            if c.kind == "gcd" and c.occurrence.period_word == "1210" and c.k == 0
+            if c.kind == "gcd" and c.period == "1210" and c.k == 0
         ]
         assert comp
         assert comp[0].vacuous  # desk-scale window, score stays negative
@@ -433,7 +433,7 @@ class TestScanAndCertify:
         v = random_digit_word(random.Random(61), 4400, 3)
         word = v + v + v[:100]
         certs = pw.scan_and_certify(word, 3, 1)
-        assert any(c.occurrence.period == 4400 for c in certs)
+        assert any(len(c.period) == 4400 for c in certs)
         bounds = {}
         for cert in certs:
             assert pw.PlcCertificate.from_json(cert.to_json(), bounds) == cert
@@ -558,12 +558,37 @@ class TestOneGcdPerRun:
         plain_runs = witness._plain_runs
         monkeypatch.setattr(witness, "_plain_runs", logged_runs)
         log_calls("_gcd_bound", gcd_runs, lambda: len(runs))
-        log_calls("certificate_from_occurrence", built, lambda: None)
+        log_calls("_certificate", built, lambda: None)
+        # the run's one check covers its windows: none is read again
+        monkeypatch.setattr(witness, "certificate_from_occurrence", None)
+        monkeypatch.setattr(pw.RepetitionOccurrence, "matches", None)
         assert pw.scan_and_certify(word, base, 1) == want
         # each run yielded takes one gcd, before the next one, and no gcd is
         # taken elsewhere: complement windows come from these runs too
         assert runs and gcd_runs == list(range(1, len(runs) + 1))
-        assert len(gcd_runs) < len(built)
+        assert len(gcd_runs) < len(built) == len(want)
+
+
+class TestOneCheckPerRun:
+    """A run the prefix does not hold is a fault of the kernel, not of the input."""
+
+    @pytest.mark.parametrize(
+        "word, run",
+        [
+            # Thue-Morse: no run of period 2 or 3 this long
+            ("0110100110010110", (2, 0, 6)),
+            ("0110100110010110", (3, 4, 12)),
+            ("0110100110010110", (2, 10, 15)),
+            # the run is (2, 1, 6) or (2, 0, 5): one letter wrong at either end
+            ("11010101", (2, 0, 6)),
+            ("01010100", (2, 0, 6)),
+        ],
+        ids=["not-periodic", "shifted", "past-the-end", "first-letter", "last-letter"],
+    )
+    def test_a_false_run_is_an_assertion_error(self, monkeypatch, word, run):
+        monkeypatch.setattr(witness, "_plain_runs", lambda *args: iter([run]))
+        with pytest.raises(AssertionError, match=f"no run of period {run[0]}"):
+            pw.scan_and_certify(word, 2, -100)
 
 
 class TestBoundText:
@@ -766,9 +791,8 @@ class TestMutatedCertificates:
                     rejected += 1
                     continue
                 true_edits += 1
-                honest = pw.certificate_from_occurrence(
-                    word, claim.occurrence, claim.p, claim.kind
-                )
+                occ = pw.RepetitionOccurrence(claim.k, claim.period, claim.repeats, claim.frac_len)
+                honest = pw.certificate_from_occurrence(word, occ, claim.p, claim.kind)
                 assert honest.to_json() == edited
         assert rejected > 10 * true_edits
 
@@ -831,9 +855,9 @@ class TestOneRebuildPerWindow:
         rebuilt, gcds = [], []
         certificate, gcd_bound = witness._certificate, witness.gcd_bound
 
-        def logged_certificate(p, kind, occ, bound=None):
-            rebuilt.append((p, kind, occ.period_word, occ.whole_repeats, occ.frac_len))
-            return certificate(p, kind, occ, bound)
+        def logged_certificate(p, kind, k, period, r, f, bound=None):
+            rebuilt.append((p, kind, period, r, f))
+            return certificate(p, kind, k, period, r, f, bound)
 
         def logged_gcd_bound(period, p):
             gcds.append((p, period))
