@@ -740,7 +740,9 @@ class TestWriter:
         assert dumped(json_dumps, obj) == dumped(cli._dumps, obj)
 
     @pytest.mark.parametrize(
-        "value", [[], {}, [1], {"a": 1}, (1, 2), cli._Rows(("a",), [(1,)])], ids=repr
+        "value",
+        [[], {}, [1], {"a": 1}, (1, 2), pytest.param(cli._Rows(("a",), [(1,)]), id="_Rows")],
+        ids=repr,
     )
     def test_nested_row_value_is_a_type_error(self, value):
         with pytest.raises(TypeError):
