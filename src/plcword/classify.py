@@ -18,7 +18,7 @@ returned as P2 or P3 is confirmed against a generated prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 from .repetitions import OverlapOccurrence, first_overlap
@@ -58,11 +58,9 @@ class Classification:
 
     def to_json(self) -> dict:
         """The fields that are set, in declaration order."""
-        data = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                data[f.name] = value.to_json() if f.name == "overlap" else value
+        data = {name: value for name, value in vars(self).items() if value is not None}
+        if self.overlap is not None:
+            data["overlap"] = self.overlap.to_json()
         return data
 
 

@@ -7,7 +7,6 @@ input files), 1 on internal assertion failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -113,8 +112,7 @@ def _cmd_bruteforce(args) -> dict:
 
 
 def _cmd_cf(args) -> dict:
-    expansion = cf.cf_expand(arithmetic.parse_rational(args.x))
-    return {"a0": expansion.a0, "quotients": list(expansion.quotients)}
+    return vars(cf.cf_expand(arithmetic.parse_rational(args.x)))
 
 
 def _cmd_orbit(args) -> dict:
@@ -128,10 +126,7 @@ def _cmd_orbit(args) -> dict:
 def _cmd_decompose(args) -> dict:
     word = digits_io(args.digits, 2)
     chain = tm.extract_tm_prefix(word)
-    return {
-        **dataclasses.asdict(chain),
-        "levels": _Rows(("u", "v"), chain.levels),
-    }
+    return {**vars(chain), "levels": _Rows(("u", "v"), chain.levels)}
 
 
 def _cmd_tm(args) -> dict:
@@ -139,7 +134,7 @@ def _cmd_tm(args) -> dict:
     checks = tm.tm_identity_suite(args.n, args.L)
     return {
         "constant": arithmetic.format_rational(constant),
-        "identities": [dataclasses.asdict(c) for c in checks],
+        "identities": [vars(c) for c in checks],
     }
 
 

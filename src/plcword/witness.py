@@ -147,7 +147,7 @@ class PlcCertificate(NamedTuple):
             if not 0 <= frac_len < len(period):
                 raise ValueError(f"frac_len must lie in [0, {len(period)}), got {frac_len}")
             kind = data["kind"]
-            _require_rule(kind, repeats)  # before the gcd, as in _certificate
+            _require_rule(kind, repeats)  # before the gcd
             entry = bounds.get((p, period))
             if entry is None:
                 entry = bounds[p, period] = gcd_bound(period, p), {}
@@ -212,8 +212,9 @@ def _certificate(
     gives gcd = p**m - 1 and q = 1, the certificate of an exactly rational
     tail.  ``bound``, when given, must be the ``gcd_bound`` of a rotation of
     the period: gcd(p**m - 1, value(v)) is the same for every rotation of v.
+    A kind read from outside the program is checked by ``_require_rule``
+    first; the scan passes only its own two kinds, with the copies each needs.
     """
-    _require_rule(kind, r)
     if bound is None:
         bound = gcd_bound(period, p)
     _, _, q, ell = bound
@@ -228,6 +229,7 @@ def certificate_from_occurrence(
     """Build a certificate from a genuine occurrence (re-verified in word)."""
     if not occ.matches(word):
         raise ValueError("occurrence does not match the word")
+    _require_rule(kind, occ.whole_repeats)
     return _certificate(base, kind, *occ)
 
 

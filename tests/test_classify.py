@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -169,3 +170,27 @@ class TestThueMorseBeforeScan:
                 if pw.classify_binary(m, start, depth).tag != "P1":
                     prefix = pw.fixed_point_prefix(m, start, depth)
                     assert prefix not in (pw.thue_morse_prefix(depth, "0"), pw.thue_morse_prefix(depth, "1"))
+
+
+class TestToJson:
+    @staticmethod
+    def field_walk(result):
+        """The set fields in declaration order, the overlap as its JSON object."""
+        data = {}
+        for f in fields(result):
+            value = getattr(result, f.name)
+            if value is not None:
+                data[f.name] = value.to_json() if f.name == "overlap" else value
+        return data
+
+    @pytest.mark.parametrize("depth", [8, 256])
+    def test_matches_a_field_walk(self, depth):
+        # every pair is settled by depth 16, so only depth 8 leaves some UNRESOLVED
+        tags = set()
+        for m, start in prolongable_binary_morphisms():
+            result = pw.classify_binary(m, start, depth=depth)
+            tags.add(result.tag)
+            got, want = result.to_json(), self.field_walk(result)
+            assert list(got.items()) == list(want.items()), (m, start)
+        assert tags >= {"P1", "P2", "P3"}
+        assert ("UNRESOLVED" in tags) == (depth == 8)

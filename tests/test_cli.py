@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -514,6 +515,13 @@ class TestOtherCommands:
         doc = run_json(capsys, "tm", "--a", "0", "--b", "1", "--n", "2", "--L", "4")
         assert doc["result"]["constant"] == "3/8"
         assert all(c["ok"] for c in doc["result"]["identities"])
+
+    def test_tm_identities_match_asdict(self, capsys):
+        # nested params dicts, in their key order
+        doc = run_json(capsys, "tm", "--a", "1", "--b", "2", "--n", "10", "--L", "1100")
+        want = [dataclasses.asdict(c) for c in cli.tm.tm_identity_suite(10, 1100)]
+        assert len(want) == 66
+        assert json.dumps(doc["result"]["identities"]) == json.dumps(want)
 
     def test_tm_past_the_int_string_limit(self, capsys):
         # int() converts at most 4,300 digits in base 3

@@ -88,6 +88,21 @@ class TestCertificateFromOccurrence:
         with pytest.raises(ValueError):
             pw.certificate_from_occurrence("010", occ, 2, "square3")
 
+    @pytest.mark.parametrize(
+        "word, kind, repeats, error",
+        [
+            # the window is read before the kind
+            ("0111010", "cube", 2, "occurrence does not match the word"),
+            ("0101010", "cube", 2, "unknown certificate kind 'cube'"),
+            ("01", "gcd", 0, "gcd certificates need repeats >= 1"),
+        ],
+        ids=["mismatch-first", "unknown-kind", "gcd-copies"],
+    )
+    def test_errors_in_order(self, word, kind, repeats, error):
+        occ = pw.RepetitionOccurrence(0, "01", repeats, 1 if repeats else 0)
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            pw.certificate_from_occurrence(word, occ, 2, kind)
+
 
 class TestVerifyCertificate:
     def cert(self):
@@ -562,6 +577,8 @@ class TestOneGcdPerRun:
         # the run's one check covers its windows: none is read again
         monkeypatch.setattr(witness, "certificate_from_occurrence", None)
         monkeypatch.setattr(pw.RepetitionOccurrence, "matches", None)
+        # nor is its kind checked: the scan names its own two kinds
+        monkeypatch.setattr(witness, "_require_rule", None)
         assert pw.scan_and_certify(word, base, 1) == want
         # each run yielded takes one gcd, before the next one, and no gcd is
         # taken elsewhere: complement windows come from these runs too

@@ -5,7 +5,8 @@ For a length n, prints one line per word: the seconds one
 it returns, the seconds to encode them as ``cert`` prints its result
 (the CLI's certificate rows and JSON writer), the seconds to
 check them again as ``verify`` checks a list (``PlcCertificate.from_json``
-with one shared dict of gcd bounds, then ``verify_certificate``, on the
+with one shared dict that keeps each period word's gcd bound and each
+checked window's q, s and bound text, then ``verify_certificate``, on the
 certificates read back from that JSON text), and the sha256 of that text,
 which shows whether a change to the scan keeps its bytes.  Exits with
 status 1 if any certificate fails to verify.
