@@ -2,9 +2,24 @@
 
 Every overlap-free binary word x factors as u mu(y) v with |u|, |v| <= 2,
 where mu is the Thue-Morse morphism 0 -> 01, 1 -> 10, and y is again
-overlap-free.  Iterating the factorisation to depth d exhibits mu^d(a) for
+overlap-free (Restivo and Salemi, "Overlap-free words on two symbols",
+1985).  Iterating the factorisation to depth d exhibits mu^d(a) for
 a single letter a inside x, i.e. a prefix of the Thue-Morse word M (a = 0)
 or of its complement (a = 1) of length 2**d >= (|x| + 4) / 8.
+
+The same chain decides whether x is overlap-free, in O(|x|) letters, as in
+Kfoury's linear-time test (1988).  The rule is exact: x = u mu(y) v is
+overlap-free iff y is and no overlap of x starts inside u or ends inside
+v.  An overlap that does neither lies inside mu(y), and mu(y) is
+overlap-free iff y is.  A word with no factorisation has an overlap, and
+the short final core (fewer than 8 letters) goes to ``first_overlap``.
+The ends are checked innermost first, so the middle mu(y) of each word
+checked is already known to be overlap-free.  For a start i and a block
+of periods [lo, 2 lo), an overlap of period m repeats x[i:i+lo+1] at i + m,
+so one ``str.find`` in that window and one slice compare per hit settle
+the block.  Two occurrences of an L-letter factor of an overlap-free word
+lie at least L apart, so each window holds O(1) hits, and a level of L
+letters costs O(L).
 
 ``tm_constant`` evaluates truncations of the real numbers whose base-n
 digits are a two-letter coding of M, and ``tm_identity_suite`` checks the
@@ -18,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import prefix_value, word_value
-from .repetitions import is_overlap_free
+from .repetitions import first_overlap
 from .words import FixedPointStream, Morphism, _require_base, complement
 
 __all__ = [
@@ -71,22 +86,27 @@ def decompose(x: str) -> Decomposition:
     Ties are broken by the smallest |u|.  Words containing an overlap are
     rejected: the factorisation is only guaranteed without overlaps.
     """
-    _require_overlap_free(x)
-    return _factorise(x)
+    chain = _require_overlap_free(x)
+    return chain[0] if chain else _factorise(x)
 
 
-def _require_overlap_free(x: str) -> None:
+def _require_overlap_free(x: str) -> list[Decomposition]:
+    """The ``_overlap_free_chain`` of a non-empty binary word with no
+    overlap; a ValueError for any other word."""
     if not x:
         raise ValueError("word must be non-empty")
     if set(x) - {"0", "1"}:
         raise ValueError("word must be over the alphabet {0, 1}")
-    if not is_overlap_free(x):
+    chain = _overlap_free_chain(x)
+    if chain is None:
         raise ValueError("word contains an overlap")
+    return chain
 
 
-def _factorise(x: str) -> Decomposition:
-    """``decompose`` without its checks, for a word known to be binary,
-    non-empty and overlap-free."""
+def _factorise(x: str) -> Decomposition | None:
+    """x = u mu(y) v with |u|, |v| <= 2, maximising |y| and then minimising
+    |u|, for a binary word x; None if there is none, which happens only
+    when x has an overlap."""
     n = len(x)
     for total in range(n % 2, min(n, 4) + 1, 2):
         for ulen in range(total + 1):
@@ -96,7 +116,60 @@ def _factorise(x: str) -> Decomposition:
             y = _mu_preimage(x[ulen : n - vlen])
             if y is not None:
                 return Decomposition(x[:ulen], y, x[n - vlen :])
-    raise AssertionError(f"no factorisation for overlap-free word {x!r}")
+    return None
+
+
+def _overlap_free_chain(x: str) -> list[Decomposition] | None:
+    """The steps of the iterated factorisation of a binary word x, or None
+    if x has an overlap.  Each step factors the core y of the step before
+    (x for the first).
+
+    The chain runs to depth max(0, floor(log2(K+4)) - 2) for K = |x|,
+    stopping early only when the core would empty, which can happen only
+    once the core has at most 4 letters; either way the last core has
+    fewer than 8.  Then x is overlap-free iff that core is and, innermost
+    first, no overlap of a level's word starts in its u or ends in its v.
+    """
+    depth = max(0, (len(x) + 4).bit_length() - 3)
+    chain: list[Decomposition] = []
+    core = x
+    while len(chain) < depth:
+        step = _factorise(core)
+        if step is None:
+            return None
+        if not step.y:
+            break
+        chain.append(step)
+        core = step.y
+    if first_overlap(core) is not None:
+        return None
+    words = [x, *(step.y for step in chain[:-1])]
+    for word, step in zip(reversed(words), reversed(chain)):
+        if _overlap_starts_in(word, len(step.u)) or _overlap_starts_in(word[::-1], len(step.v)):
+            return None
+    return chain
+
+
+def _overlap_starts_in(word: str, starts: int) -> bool:
+    """Whether an overlap of the word starts at one of its first ``starts``
+    positions.  An overlap of period m in [lo, 2 lo) at i repeats
+    word[i:i+lo+1] at i + m; each such occurrence is confirmed by one
+    compare of word[i:i+m+1] with word[i+m:i+2m+1]."""
+    n = len(word)
+    for i in range(starts):
+        top = (n - i - 1) // 2  # the longest period that fits from i
+        lo = 1
+        while lo <= top:
+            # a repeat at i + m for m < min(2 lo, top + 1) ends by here
+            end = i + min(2 * lo, top + 1) + lo
+            head = word[i : i + lo + 1]
+            at = word.find(head, i + lo, end)
+            while at >= 0:
+                if word[i : at + 1] == word[at : 2 * at - i + 1]:
+                    return True
+                at = word.find(head, at + 1, end)
+            lo *= 2
+    return False
 
 
 @dataclass(frozen=True)
@@ -107,7 +180,10 @@ class OverlapFreePair:
 
 def mu_preserves_overlap_free(y: str) -> OverlapFreePair:
     """Overlap-freeness of y and of mu(y); the two flags always agree."""
-    return OverlapFreePair(is_overlap_free(y), is_overlap_free(MU.apply(y)))
+    image = MU.apply(y)  # a letter outside {0, 1} is a MorphismError here
+    return OverlapFreePair(
+        _overlap_free_chain(y) is not None, _overlap_free_chain(image) is not None
+    )
 
 
 @dataclass(frozen=True)
@@ -138,23 +214,14 @@ def extract_tm_prefix(x: str) -> DecompositionChain:
     """Locate a long Thue-Morse (or complement) prefix inside an
     overlap-free word.
 
-    Factorises to depth max(0, floor(log2(K+4)) - 2) for K = |x|, stopping
-    early only when the core would empty, which can happen only once the
-    core has at most 4 letters; either way 2**depth >= (K + 4) / 8.
+    Its levels are the (u, v) of the chain that decides overlap-freeness:
+    to depth max(0, floor(log2(K+4)) - 2) for K = |x|, stopping early only
+    when the core would empty; either way 2**depth >= (K + 4) / 8.
     Rejects, at every length, the words ``decompose`` rejects.
     """
-    # Only x is checked: mu(y) is a factor of x, and mu preserves
-    # overlap-freeness both ways, so every deeper core is overlap-free.
-    _require_overlap_free(x)
-    target_depth = max(0, (len(x) + 4).bit_length() - 3)
-    levels: list[tuple[str, str]] = []
-    core = x
-    while len(levels) < target_depth:
-        step = _factorise(core)
-        if not step.y:
-            break
-        levels.append((step.u, step.v))
-        core = step.y
+    chain = _require_overlap_free(x)
+    levels = tuple((step.u, step.v) for step in chain)
+    core = chain[-1].y if chain else x
     depth = len(levels)
     length = 2**depth
     assert 8 * length >= len(x) + 4, "factorisation depth fell short"
@@ -164,7 +231,7 @@ def extract_tm_prefix(x: str) -> DecompositionChain:
     prefix = thue_morse_prefix(length, start=letter)
     assert x[offset : offset + length] == prefix, "extracted window mismatch"
     return DecompositionChain(
-        levels=tuple(levels),
+        levels=levels,
         core=core,
         depth=depth,
         tm_prefix_len=length,

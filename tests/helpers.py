@@ -521,6 +521,38 @@ def mu_grown_words(draw, max_len: int = 4096):
     return "".join(letters)
 
 
+_OVERLAP_FREE_SEEDS = [w for words in overlap_free_census(10).values() for w in words if w]
+
+
+@st.composite
+def edited_overlap_free_factors(draw, max_len: int = 2048):
+    """A factor of mu^k(seed) for an overlap-free seed of 1-10 letters (so
+    an overlap-free word), taken as it is or with one edit: a letter
+    flipped, a letter prepended or appended, or the first half of one
+    factor joined to the second half of another."""
+    seed = draw(st.sampled_from(_OVERLAP_FREE_SEEDS))
+    grown = MU.iterate(seed, draw(st.integers(0, (max_len // len(seed)).bit_length() - 1)))
+
+    def factor() -> str:
+        length = draw(st.integers(1, len(grown)))
+        start = draw(st.integers(0, len(grown) - length))
+        return grown[start : start + length]
+
+    word = factor()
+    edit = draw(st.sampled_from(["none", "flip", "prepend", "append", "splice"]))
+    if edit == "flip":
+        i = draw(st.integers(0, len(word) - 1))
+        word = word[:i] + ("1" if word[i] == "0" else "0") + word[i + 1 :]
+    elif edit == "prepend":
+        word = draw(st.sampled_from("01")) + word
+    elif edit == "append":
+        word += draw(st.sampled_from("01"))
+    elif edit == "splice":
+        other = factor()
+        word = word[: len(word) // 2] + other[len(other) // 2 :]
+    return word
+
+
 @st.composite
 def near_mu_images(draw, max_len: int = 40):
     """mu(y) for a random binary y, with 0-2 letters flipped and, half the

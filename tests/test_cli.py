@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcword import cli
+from plcword import cli, repetitions
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 TM_RULES = "0->01;1->10"
@@ -509,6 +509,23 @@ class TestOtherCommands:
 
     def test_decompose_rejects_a_short_overlap(self, capsys, digits_file):
         code, out, err = run_cli(capsys, "decompose", "--digits", digits_file("000"))
+        assert (code, out, err) == (2, "", "error: word contains an overlap\n")
+
+    @pytest.mark.parametrize(
+        "where, position, period", [("left", 0, 1024), ("right", 2047, 1024), ("middle", 2048, 1)]
+    )
+    def test_decompose_rejects_a_forced_overlap(self, capsys, digits_file, where, position, period):
+        # 4,096 letters of Thue-Morse around a forced overlap: mu^10(11)
+        # starts at 1024 and mu^10(00) at 5120, each a square of period 1024
+        tm = cli.tm.thue_morse_prefix(8192)
+        word = {
+            "left": tm[2047] + tm[1024:5119],
+            "right": tm[3073:7168] + tm[5120],
+            "middle": tm[:2048] + ("1" if tm[2048] == "0" else "0") + tm[2049:4096],
+        }[where]
+        occ = repetitions.first_overlap(word)
+        assert len(word) == 4096 and (occ.position, len(occ.x) + 1) == (position, period)
+        code, out, err = run_cli(capsys, "decompose", "--digits", digits_file(word))
         assert (code, out, err) == (2, "", "error: word contains an overlap\n")
 
     def test_tm(self, capsys):

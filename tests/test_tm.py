@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
 from helpers import (
+    binary_words_upto,
+    edited_overlap_free_factors,
     naive_mu_preimage,
     naive_tm_identity_suite,
     near_mu_images,
     overlap_free_census,
 )
 from plcword import tm
+from plcword.repetitions import first_overlap
 from plcword.tm import _mu_preimage
 
 TM16 = "0110100110010110"
@@ -67,8 +70,6 @@ class TestMuPreservesOverlapFree:
         assert pw.mu_preserves_overlap_free(TM16) == pw.OverlapFreePair(True, True)
 
     def test_flags_agree_exhaustively_to_ten(self):
-        from helpers import binary_words_upto
-
         for word in binary_words_upto(10):
             pair = pw.mu_preserves_overlap_free(word)
             assert pair.y_free == pair.mu_y_free, word
@@ -116,17 +117,40 @@ class TestExtractTmPrefix:
             with pytest.raises(ValueError):
                 pw.extract_tm_prefix(word)
 
-    def test_checks_overlap_freeness_once(self, monkeypatch):
+    def test_first_overlap_sees_only_the_short_core(self, monkeypatch):
         calls = []
 
         def counting(word):
             calls.append(len(word))
-            return pw.is_overlap_free(word)
+            return first_overlap(word)
 
-        monkeypatch.setattr(pw.tm, "is_overlap_free", counting)
+        monkeypatch.setattr(pw.tm, "first_overlap", counting)
         chain = pw.extract_tm_prefix(pw.thue_morse_prefix(1024))
         assert chain.depth == 8
-        assert calls == [1024]
+        assert calls == [len(chain.core)] and len(chain.core) < 8
+        pw.decompose(pw.thue_morse_prefix(1024))
+        for word in overlap_free_census(16)[16][:50] + ["0" + pw.thue_morse_prefix(4095)]:
+            pw.extract_tm_prefix(word)
+        with pytest.raises(ValueError, match="word contains an overlap"):
+            pw.extract_tm_prefix("00" + pw.thue_morse_prefix(4094))
+        assert max(calls) < 8
+
+
+class TestOverlapFreeDecider:
+    def test_every_binary_word_to_fourteen(self):
+        for word in binary_words_upto(14):
+            assert (tm._overlap_free_chain(word) is not None) == (first_overlap(word) is None), word
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_overlap_free_factors())
+    def test_edited_factors_match_first_overlap(self, word):
+        free = first_overlap(word) is None
+        assert (tm._overlap_free_chain(word) is not None) == free
+        if free:
+            assert pw.extract_tm_prefix(word).reassemble() == word
+        else:
+            with pytest.raises(ValueError, match="^word contains an overlap$"):
+                pw.extract_tm_prefix(word)
 
 
 class TestTmConstant:

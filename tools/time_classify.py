@@ -7,8 +7,10 @@ images of length at most 3 and phi(z) = z + u, u non-empty): in all, then
 per outcome with the number of pairs (the P1 line is the Thue-Morse pairs).  Then it prints
 the seconds a fresh ``FixedPointStream(...).prefix(N)`` takes for the
 Thue-Morse word (0 -> 01, 1 -> 10) and the Fibonacci word (0 -> 01, 1 -> 0),
-and the seconds ``first_overlap(thue_morse_prefix(N))`` takes: the word is
-overlap-free, so the search runs every block of periods.
+the seconds ``first_overlap(thue_morse_prefix(N))`` takes (the word is
+overlap-free, so the search runs every block of periods), and the seconds
+``extract_tm_prefix`` takes on the same word: the factorisation chain that
+``decompose`` builds, which also decides that the word is overlap-free.
 
 Run from the repository root:
 ``PYTHONPATH=src:perfbench python tools/time_classify.py --depth 4096``.
@@ -21,8 +23,8 @@ import time
 from collections import defaultdict
 
 from plcword import (
-    FixedPointStream, Morphism, classify_binary, first_overlap, parse_morphism,
-    thue_morse_prefix,
+    FixedPointStream, Morphism, classify_binary, extract_tm_prefix, first_overlap,
+    parse_morphism, thue_morse_prefix,
 )
 from workloads import binary_census
 
@@ -50,9 +52,10 @@ def main() -> None:
         stream.prefix(n)
         print(f"{name:<10} n={n:<10} {time.perf_counter() - start:8.5f} s  stream prefix")
     word = thue_morse_prefix(n)
-    start = time.perf_counter()
-    first_overlap(word)
-    print(f"thue-morse n={n:<10} {time.perf_counter() - start:8.5f} s  first_overlap")
+    for search in (first_overlap, extract_tm_prefix):
+        start = time.perf_counter()
+        search(word)
+        print(f"thue-morse n={n:<10} {time.perf_counter() - start:8.5f} s  {search.__name__}")
 
 
 if __name__ == "__main__":
