@@ -34,30 +34,16 @@ other, and gcd(p**m - 1, value(v)) is invariant under rotation of v
 gcd serves a whole run.
 
 ``first_overlap`` (behind ``is_overlap_free``) finds the leftmost overlap
-of the smallest period without a scan per period.  An overlap of period m
-is a run of at least m + 1 positions with word[i] == word[i + m], so it
-contains a sample s, a multiple of m + 1; the run through s is the common
-extension of word[s:] and word[s+m:] forward plus that of word[:s] and
-word[:s+m] backward.  Both are read for all samples of a block of periods
-at once by binary lifting on a ladder of factor ids (level k names every
-factor of length 2**k), the longest-common-extension view of Main and
-Lorentz (1984) and Kolpakov and Kucherov (1999).  There are about n ln 2
-samples per doubling block of periods, so an overlap-free word costs
-O(n log^2 n).  Most samples never reach the lifting: in a block [lo, 2 lo)
-with 2**(k+1) <= lo + 1, a hit at s needs forward plus backward extension
-of at least m + 1 >= 2**(k+1), so one of them is at least 2**k, and one
-compare of level-k ids on each side drops every sample that cannot hit
-(about 99% of them on the overlap-free words ``decompose`` checks) without
-changing the result.  Short periods keep a direct pass each, and the search stops
-at the first block with an overlap.  It must stay result-identical to the
-per-period scan kept as an oracle in the tests.  The direct passes stay
-their own loop, ``_first_long_run``, rather than the kernel with the cut
-m + 1: they stop at the first period with an overlap, where a kernel
-block compares every shift it holds (all 31 below ``_DIRECT_PERIODS`` for
-words of up to about 2,000 letters).  Each pass compares the whole word
-with its shift, one byte per position, and one ``bytes.find`` of m + 1
-true bytes stops at the first run long enough.  Letters are read as
-code points, as in ``_period_runs``, so any alphabet works.
+of the smallest period with one direct pass per period, from 1 up.  Each
+pass, ``_first_long_run``, compares the whole word with its shift, one byte
+per position, and one ``bytes.find`` of m + 1 true bytes stops at the first
+run long enough.  The passes stay outside ``_period_runs`` because they
+stop at the first period that has an overlap, where a kernel block compares
+every shift it holds.  An overlap-free word costs O(n^2).  The callers keep
+long overlap-free words away from it: ``classify`` scans only after its
+Thue-Morse comparison, and ``decompose`` passes only its core of fewer than
+8 letters.  Letters are read as code points, as in ``_period_runs``, so any
+alphabet works.
 """
 
 from __future__ import annotations
@@ -186,39 +172,19 @@ def find_overlaps(word: str, limit: int | None = None) -> list[OverlapOccurrence
     )
 
 
-# Periods below this are scanned one pass each: for short periods that is
-# cheaper than a block of sampled extensions (measured at n = 2^13 to 2^15).
-_DIRECT_PERIODS = 32
-
-
 def first_overlap(word: str) -> OverlapOccurrence | None:
     """One overlap occurrence, or None when the word is overlap-free.
 
-    Returns the leftmost occurrence of the smallest period.  An overlap with
-    period m is a run of m+1 consecutive positions i with word[i] ==
-    word[i+m].  Periods below ``_DIRECT_PERIODS`` are scanned one at a
-    time; longer ones go in doubling blocks [lo, 2 lo) through
-    ``_block_overlap``, and the search stops at the first block with an
-    overlap.  O(n log^2 n) for an overlap-free word.
+    Returns the leftmost occurrence of the smallest period: one direct pass
+    per period m = 1, 2, ..., stopping at the first period with an overlap,
+    which is a run of m+1 consecutive positions i with word[i] == word[i+m].
+    O(n^2) for an overlap-free word.
     """
-    n = len(word)
-    if n < 3:
-        return None
-    top = (n - 1) // 2
     letters = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
-    for m in range(1, min(top, _DIRECT_PERIODS - 1) + 1):
+    for m in range(1, (len(word) - 1) // 2 + 1):
         i = _first_long_run(letters, m)
         if i >= 0:
             return OverlapOccurrence(i, word[i], word[i + 1 : i + m])
-    ladder = _ClassLadder(letters)
-    lo = _DIRECT_PERIODS
-    while lo <= top:
-        hi = min(2 * lo, top + 1)
-        hit = _block_overlap(ladder, n, lo, hi)
-        if hit is not None:
-            i, m = hit
-            return OverlapOccurrence(i, word[i], word[i + 1 : i + m])
-        lo = hi
     return None
 
 
@@ -227,93 +193,6 @@ def _first_long_run(letters: np.ndarray, m: int) -> int:
     letters[i] == letters[i+m], or -1: one byte per comparison, one find."""
     n = len(letters)
     return (letters[: n - m] == letters[m:]).tobytes().find(b"\x01" * (m + 1))
-
-
-class _ClassLadder:
-    """Level k holds an id per factor word[i:i+2**k]; two ids of one level
-    are equal exactly when the factors are.  Levels are built on first use,
-    each by ``np.unique`` on the packed id pairs of the level below."""
-
-    def __init__(self, letters: np.ndarray):
-        self._levels = [letters]
-        self._dtype = np.min_scalar_type(len(letters))
-
-    def level(self, k: int) -> np.ndarray:
-        levels = self._levels
-        while len(levels) <= k:
-            half = 1 << (len(levels) - 1)
-            prev = levels[-1]
-            base = int(prev.max()) + 1
-            keys = prev[:-half].astype(np.min_scalar_type(base * base)) * base + prev[half:]
-            levels.append(np.unique(keys, return_inverse=True)[1].astype(self._dtype))
-        return levels[k]
-
-    def common(
-        self, x: np.ndarray, y: np.ndarray, limit: np.ndarray, backward: bool
-    ) -> np.ndarray:
-        """Per pair, min(limit, the longest common prefix of word[x:] and
-        word[y:]), or with ``backward`` of the common suffix of word[:x] and
-        word[:y]; by binary lifting, one level per step.  The limit must
-        keep every compared factor inside the word."""
-        length = np.zeros_like(limit)
-        for k in range(int(limit.max()).bit_length() - 1, -1, -1):
-            ids = self.level(k)
-            step = 1 << k
-            fits = limit - length >= step
-            if backward:
-                i, j = x - length - step, y - length - step
-            else:
-                i, j = x + length, y + length
-            i *= fits
-            j *= fits
-            fits &= ids[i] == ids[j]
-            length[fits] += step
-        return length
-
-
-def _block_overlap(
-    ladder: _ClassLadder, n: int, lo: int, hi: int
-) -> tuple[int, int] | None:
-    """(position, period) of the leftmost overlap of the smallest period in
-    [lo, hi), or None.
-
-    A run of m+1 positions contains a sample s, a multiple of m+1.  For every
-    period and sample, R = lcp(word[s:], word[s+m:]) and L = lcs(word[:s],
-    word[:s+m]), both capped at m+1, measure the run of period m through s
-    (or ending at s-1); L + R >= m+1 is an overlap at s - L.  The sample in
-    the leftmost run has L <= m, so the least s - L is exact despite the caps.
-
-    With t = s + m and 2**(k+1) <= lo + 1 <= m + 1, a hit has L + R >= 2**(k+1),
-    so max(L, R) >= 2**k: word[s:] and word[t:] share their first 2**k
-    letters, or word[:s] and word[:t] their last 2**k.  One compare of
-    level-k ids per side tests that, and only the samples that pass it
-    (about 1% on an overlap-free word) are lifted; the others cannot hit,
-    so the result is the one lifting every sample gives.
-    """
-    ladder.level(hi.bit_length() - 1)  # before the pair arrays: lower peak memory
-    spans = np.arange(lo + 1, hi + 1, dtype=np.int32)  # m + 1
-    counts = n // spans
-    span = np.repeat(spans, counts)
-    first = np.cumsum(counts, dtype=np.int32) - counts
-    s = (np.arange(len(span), dtype=np.int32) - np.repeat(first, counts)) * span
-    t = s + span - 1
-    k = (lo + 1).bit_length() - 2
-    ids, step = ladder.level(k), 1 << k
-    ahead = t <= n - step  # index 0 where a factor would leave the word
-    ahead &= ids[s * ahead] == ids[t * ahead]
-    behind = s >= step
-    behind &= ids[(s - step) * behind] == ids[(t - step) * behind]
-    keep = ahead | behind
-    s, t, span = s[keep], t[keep], span[keep]
-    if not s.size:
-        return None
-    right = ladder.common(s, t, np.minimum(span, n - t), backward=False)
-    left = ladder.common(s, t, np.minimum(span, s), backward=True)
-    hits = np.flatnonzero(left + right >= span)
-    if not hits.size:
-        return None
-    hits = hits[span[hits] == span[hits[0]]]
-    return int((s[hits] - left[hits]).min()), int(span[hits[0]]) - 1
 
 
 def is_overlap_free(word: str) -> bool:

@@ -172,6 +172,24 @@ class TestThueMorseBeforeScan:
                     assert prefix not in (pw.thue_morse_prefix(depth, "0"), pw.thue_morse_prefix(depth, "1"))
 
 
+class TestOverlapScan:
+    def test_first_overlap_sees_only_short_periods(self, monkeypatch):
+        # the classify counterpart of test_tm.py's short-core test: every scan
+        # classify makes stops at a short period, so none pays the quadratic
+        # cost of an overlap-free prefix
+        periods = []
+
+        def recording(word):
+            occ = pw.first_overlap(word)
+            periods.append(None if occ is None else len(occ.x) + 1)
+            return occ
+
+        monkeypatch.setattr(pw.classify, "first_overlap", recording)
+        for m, start in prolongable_binary_morphisms(4):
+            pw.classify_binary(m, start, depth=4096)
+        assert periods and None not in periods and max(periods) <= 6
+
+
 class TestToJson:
     @staticmethod
     def field_walk(result):

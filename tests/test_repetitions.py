@@ -94,7 +94,7 @@ class TestFirstOverlapOracles:
     )
     @settings(max_examples=150, deadline=None)
     def test_any_alphabet(self, word):
-        # letters beyond ASCII, some beyond 16 bits, in the direct passes and the ladder
+        # letters beyond ASCII, some beyond 16 bits, in the direct pass of every period
         occ = pw.first_overlap(word)
         assert occ == per_period_first_overlap(word)
         every = pw.find_overlaps(word)
@@ -108,9 +108,8 @@ class TestFirstOverlapOracles:
             assert occ == per_period_first_overlap(word)
             assert (occ.position, len(occ.x) + 1) == (0, 2**k)
         # distinct letters hold no overlap, so a planted v v v[0] is the first.
-        # Alone it has one sample, at 0, with no letter to its left; after
-        # other letters, the length a multiple of m + 1, its one sample has a
-        # single letter to its right.
+        # Alone it starts the word, with no letter to its left; after other
+        # letters it ends the word, with no letter to its right.
         letters = [chr(0x100 + i) for i in range(2048)]
         for lo in (32, 64, 128, 256, 512):
             for m in (lo, lo + lo // 3, 2 * lo - 1):

@@ -8,7 +8,8 @@ per outcome with the number of pairs (the P1 line is the Thue-Morse pairs).  The
 the seconds a fresh ``FixedPointStream(...).prefix(N)`` takes for the
 Thue-Morse word (0 -> 01, 1 -> 10) and the Fibonacci word (0 -> 01, 1 -> 0),
 the seconds ``first_overlap(thue_morse_prefix(N))`` takes (the word is
-overlap-free, so the search runs every block of periods), and the seconds
+overlap-free, so the search makes a direct pass for every period: the
+quadratic worst case, which no command reaches), and the seconds
 ``extract_tm_prefix`` takes on the same word: the factorisation chain that
 ``decompose`` builds, which also decides that the word is overlap-free.
 
