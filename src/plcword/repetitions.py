@@ -26,7 +26,9 @@ certificate scan the least length whose best window can still reach the
 target score (with the gcd floor of a primitive period; the scan reads
 only plain runs, and ``witness._plain_runs`` lists the runs of
 proper-power periods from their root runs).  So a rejected run costs a
-few array operations, not a Python iteration.
+few array operations, not a Python iteration.  numpy is imported inside
+the functions that use it, ``_period_runs`` and ``first_overlap``, so
+importing this module does not load it; the first call does.
 
 Along a run the windows of consecutive positions are rotations of each
 other, and gcd(p**m - 1, value(v)) is invariant under rotation of v
@@ -50,12 +52,12 @@ from __future__ import annotations
 
 import sys
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .words import complement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RepetitionOccurrence",
@@ -180,6 +182,8 @@ def first_overlap(word: str) -> OverlapOccurrence | None:
     which is a run of m+1 consecutive positions i with word[i] == word[i+m].
     O(n^2) for an overlap-free word.
     """
+    import numpy as np
+
     letters = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
     for m in range(1, (len(word) - 1) // 2 + 1):
         i = _first_long_run(letters, m)
@@ -225,12 +229,15 @@ def _period_runs(
     columns 0 and n + 1 and the cells past the word's end are False; the
     runs start and end where a row changes value.
     """
+    import numpy as np
+
     n = len(word)
     target = np.full(n + 2, _NO_LETTER, dtype=np.uint32)
     target[1:-1] = np.frombuffer(image.encode("utf-32-le"), dtype=np.uint32)
     padded = np.full(2 * n + 2, _NO_LETTER + 1, dtype=np.uint32)
     padded[1 : n + 1] = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
-    rows = sliding_window_view(padded, n + 2)  # row m is padded[m : m + n + 2]
+    # row m is padded[m : m + n + 2]
+    rows = np.lib.stride_tricks.sliding_window_view(padded, n + 2)
     step = max(1, _BLOCK_CELLS // (n + 2))
     for lo in range(1, n, step):
         ends = np.flatnonzero(np.diff(rows[lo : lo + step] == target, axis=1))

@@ -12,7 +12,8 @@ Kfoury's linear-time test (1988).  The rule is exact: x = u mu(y) v is
 overlap-free iff y is and no overlap of x starts inside u or ends inside
 v.  An overlap that does neither lies inside mu(y), and mu(y) is
 overlap-free iff y is.  A word with no factorisation has an overlap, and
-the short final core (fewer than 8 letters) goes to ``first_overlap``.
+the short final core (fewer than 8 letters) is checked at each of its
+starts by ``_overlap_starts_in``, the test the levels' ends use.
 The ends are checked innermost first, so the middle mu(y) of each word
 checked is already known to be overlap-free.  For a start i and a block
 of periods [lo, 2 lo), an overlap of period m repeats x[i:i+lo+1] at i + m,
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import prefix_value, word_value
-from .repetitions import first_overlap
 from .words import FixedPointStream, Morphism, _require_base, complement
 
 __all__ = [
@@ -141,7 +141,7 @@ def _overlap_free_chain(x: str) -> list[Decomposition] | None:
             break
         chain.append(step)
         core = step.y
-    if first_overlap(core) is not None:
+    if _overlap_starts_in(core, len(core)):
         return None
     words = [x, *(step.y for step in chain[:-1])]
     for word, step in zip(reversed(words), reversed(chain)):

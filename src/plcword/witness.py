@@ -40,6 +40,10 @@ candidate's upper end between two integers, in numpy blocks of q, and only
 the q whose lower end does not exceed the least upper end reach the exact
 test; the winning pair and its ties always do, so the result is exact and
 usually one q per k is tested.
+
+numpy is imported inside the functions that use it, the prefilter and the
+scan's run cut, so ``PlcCertificate.from_json``, ``verify_certificate``
+and ``enclosure`` never load it.
 """
 
 from __future__ import annotations
@@ -48,13 +52,14 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .arithmetic import GcdBound, _digits_value, _gcd_bound, gcd_bound, word_value
 from .repetitions import RepetitionOccurrence, _period_runs
 from .words import _require_base, complement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PlcCertificate",
@@ -304,6 +309,8 @@ def _fixed_point_bounds(
     interval's length (capped at 1/2), and at most ||r / den|| + q / den
     (capped at 1/2).  Every product stays below 2**63, as q F < 2**63.
     """
+    import numpy as np
+
     bits = 63 - max_q.bit_length()
     one = 1 << bits
     alpha = np.uint64((shifted << bits) // den)
@@ -325,6 +332,8 @@ def _fixed_point_bounds(
 def _candidate_qs(shifted: int, den: int, max_q: int) -> Iterator[int]:
     """Increasing q in [1, max_q] whose lower bound is at most every upper
     bound so far: the first q with the least q U_q and every q tying it."""
+    import numpy as np
+
     bound = 1 << 63  # above every hi
     for q, lo, hi in _fixed_point_bounds(shifted, den, max_q):
         bound = min(bound, int(hi.min()))
@@ -382,6 +391,8 @@ def _ell_floors(n: int, base: int) -> np.ndarray:
     > m or ell >= 1 = m.  It is one more than the number of powers base**1,
     base**2, ... at most m.
     """
+    import numpy as np
+
     powers = [base]
     while powers[-1] < n:
         powers.append(powers[-1] * base)
@@ -415,6 +426,8 @@ def _plain_runs(prefix: str, base: int, target_s: int) -> Iterator[tuple[int, in
     (score h - 2 ell, h = |v|) is yielded, since its longest gcd window
     scores b - a - 2 ell > h - 2 ell.
     """
+    import numpy as np
+
     # reach[m]: the least b - a whose longest gcd window reaches target_s at F(m)
     reach = target_s + 2 * _ell_floors(len(prefix), base)
     cuts = np.minimum(np.arange(len(prefix)) + max(target_s, 0), reach)

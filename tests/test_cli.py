@@ -611,6 +611,73 @@ class TestParserReuse:
         assert codes == [0, 2, 2, 0, 0]
 
 
+# Run by a fresh interpreter with the source directory and a JSON list of
+# argument lists: prints whether numpy is loaded after each import, and the
+# exit code, output and numpy flag after main() of each argument list.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import plcword
+imports = ["numpy" in sys.modules]
+from plcword import cli
+imports.append("numpy" in sys.modules)
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps({"imports": imports, "runs": runs}))
+"""
+
+
+def numpy_probe(*runs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", NUMPY_PROBE, src, json.dumps(runs)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestNumpyLoadsOnlyForAKernel:
+    def test_commands_that_reach_no_kernel(self, tm_file, digits_file):
+        # classify on a P1, a P2 and a Case II P3 morphism
+        classify = [
+            ["classify", "--morphism", str(GOLDEN_INPUTS / name), "--start", "0"]
+            for name in ("tm.mrf", "ones_power.mrf", "overlap_ii.mrf")
+        ]
+        runs = [
+            ["cf", "--x", "7/5"],
+            ["orbit", "--x", "3/7", "--p", "3", "--K", "4"],
+            ["tm", "--a", "1", "--b", "2", "--n", "10", "--L", "40"],
+            ["gen", "--morphism", tm_file, "--start", "0", "--length", "16"],
+            ["verify", "--digits", str(GOLDEN_INPUTS / "fib40.txt"),
+             "--cert", str(GOLDEN_INPUTS / "fib.certs.json")],
+            ["decompose", "--digits", digits_file("0110100110010110")],
+            *classify,
+        ]
+        probe = numpy_probe(*runs)
+        assert probe["imports"] == [False, False]
+        # numpy stays loaded once a command loads it, so the first True names it
+        steps = [(argv[0], code, loaded) for argv, (code, _, loaded) in zip(runs, probe["runs"])]
+        assert steps == [(argv[0], 0, False) for argv in runs]
+        results = [json.loads(out)["result"] for _, out, _ in probe["runs"][-3:]]
+        assert [(r["tag"], r.get("case_label")) for r in results] == [
+            ("P1", None), ("P2", "CaseII-1^n"), ("P3", None)
+        ]
+        assert results[2]["overlap"] == {"pos": 0, "u": "0", "x": "1"}
+
+    @pytest.mark.parametrize("argv", [
+        ["cert", "--digits", str(GOLDEN_INPUTS / "fib40.txt")],
+        ["classify", "--morphism", str(GOLDEN_INPUTS / "overlap_iii.mrf"), "--start", "0"],
+    ], ids=["cert", "classify-case-III"])
+    def test_a_kernel_loads_numpy_at_its_first_call(self, argv):
+        probe = numpy_probe(argv)
+        assert probe["imports"] == [False, False]
+        assert [(code, loaded) for code, _, loaded in probe["runs"]] == [(0, True)]
+
+
 # Strings that would break a careless splitter, and ints past the digit limit.
 TRICKY_TEXT = st.text(
     st.sampled_from(

@@ -117,23 +117,24 @@ class TestExtractTmPrefix:
             with pytest.raises(ValueError):
                 pw.extract_tm_prefix(word)
 
-    def test_first_overlap_sees_only_the_short_core(self, monkeypatch):
+    def test_chain_never_calls_first_overlap(self, monkeypatch):
+        # the final core is checked by the same end test as every level
         calls = []
 
-        def counting(word):
-            calls.append(len(word))
+        def recording(word):
+            calls.append(word)
             return first_overlap(word)
 
-        monkeypatch.setattr(pw.tm, "first_overlap", counting)
+        monkeypatch.setattr(pw.repetitions, "first_overlap", recording)
+        assert not hasattr(pw.tm, "first_overlap")
         chain = pw.extract_tm_prefix(pw.thue_morse_prefix(1024))
-        assert chain.depth == 8
-        assert calls == [len(chain.core)] and len(chain.core) < 8
+        assert chain.depth == 8 and len(chain.core) < 8
         pw.decompose(pw.thue_morse_prefix(1024))
         for word in overlap_free_census(16)[16][:50] + ["0" + pw.thue_morse_prefix(4095)]:
             pw.extract_tm_prefix(word)
         with pytest.raises(ValueError, match="word contains an overlap"):
             pw.extract_tm_prefix("00" + pw.thue_morse_prefix(4094))
-        assert max(calls) < 8
+        assert calls == []
 
 
 class TestOverlapFreeDecider:
