@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
@@ -130,8 +129,7 @@ def quality(q: int, k: int, base: int, x: Fraction) -> Fraction:
     return q * dist_nearest_int(Fraction(x) * q * base**k)
 
 
-@dataclass(frozen=True)
-class ComplementDivisibility:
+class ComplementDivisibility(NamedTuple):
     value: int
     divisor: int
     quotient: int

@@ -16,9 +16,9 @@ per orbit point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
+from typing import NamedTuple
 
 __all__ = [
     "ContinuedFraction",
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     """[a0; a1, a2, ...] with positive quotients, final quotient >= 2."""
 
     a0: int
@@ -62,8 +61,7 @@ def cf_expand(x: Fraction) -> ContinuedFraction:
     return ContinuedFraction(a0, tuple(_quotients(num, x.denominator)))
 
 
-@dataclass(frozen=True)
-class OrbitMaxResult:
+class OrbitMaxResult(NamedTuple):
     """The maximum with its (k, i), and every (k, i, a_i) scanned, in order."""
 
     max_quotient: int | None
@@ -103,8 +101,7 @@ def orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
     return OrbitMaxResult(best, best_k, best_i, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SandwichResult:
+class SandwichResult(NamedTuple):
     sup_quotient: int
     min_quality: Fraction
     lower: Fraction

@@ -18,8 +18,7 @@ returned as P2 or P3 is confirmed against a generated prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .repetitions import OverlapOccurrence, first_overlap
 from .tm import thue_morse_prefix
@@ -43,8 +42,7 @@ def grows_unboundedly(m: Morphism, letter: str) -> bool:
     return _grows_unboundedly(m, letter)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Outcome tag plus the evidence backing it."""
 
     tag: str
@@ -58,7 +56,7 @@ class Classification:
 
     def to_json(self) -> dict:
         """The fields that are set, in declaration order."""
-        data = {name: value for name, value in vars(self).items() if value is not None}
+        data = {name: value for name, value in zip(self._fields, self) if value is not None}
         if self.overlap is not None:
             data["overlap"] = self.overlap.to_json()
         return data

@@ -112,7 +112,7 @@ def _cmd_bruteforce(args) -> dict:
 
 
 def _cmd_cf(args) -> dict:
-    return vars(cf.cf_expand(arithmetic.parse_rational(args.x)))
+    return cf.cf_expand(arithmetic.parse_rational(args.x))._asdict()
 
 
 def _cmd_orbit(args) -> dict:
@@ -126,7 +126,7 @@ def _cmd_orbit(args) -> dict:
 def _cmd_decompose(args) -> dict:
     word = digits_io(args.digits, 2)
     chain = tm.extract_tm_prefix(word)
-    return {**vars(chain), "levels": _Rows(("u", "v"), chain.levels)}
+    return {**chain._asdict(), "levels": _Rows(("u", "v"), chain.levels)}
 
 
 def _cmd_tm(args) -> dict:
@@ -134,7 +134,7 @@ def _cmd_tm(args) -> dict:
     checks = tm.tm_identity_suite(args.n, args.L)
     return {
         "constant": arithmetic.format_rational(constant),
-        "identities": [vars(c) for c in checks],
+        "identities": [c._asdict() for c in checks],
     }
 
 

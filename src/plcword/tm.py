@@ -30,8 +30,8 @@ digitwise affine identities between those constants.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arithmetic import prefix_value, word_value
 from .words import FixedPointStream, Morphism, _require_base, complement
@@ -61,8 +61,7 @@ def thue_morse_prefix(n: int, start: str = "0") -> str:
     return _TM_STREAMS[start].prefix(n)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """x = u + mu(y) + v with |u|, |v| <= 2."""
 
     u: str
@@ -172,8 +171,7 @@ def _overlap_starts_in(word: str, starts: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class OverlapFreePair:
+class OverlapFreePair(NamedTuple):
     y_free: bool
     mu_y_free: bool
 
@@ -186,8 +184,7 @@ def mu_preserves_overlap_free(y: str) -> OverlapFreePair:
     )
 
 
-@dataclass(frozen=True)
-class DecompositionChain:
+class DecompositionChain(NamedTuple):
     """Iterated factorisation x = u1 mu(u2) ... mu^d(core) ... mu(v2) v1.
 
     ``letter`` is the leftmost letter of the deepest core; mu^depth(letter)
@@ -258,8 +255,7 @@ def tm_constant(a: int, b: int, base: int, length: int) -> Fraction:
     return prefix_value(tm_digit_word(a, b, length), base)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     identity: str
     params: dict
     ok: bool

@@ -48,7 +48,6 @@ and ``enclosure`` never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
@@ -254,8 +253,7 @@ def verify_certificate(prefix: str, cert: PlcCertificate, base: int) -> bool:
     return prefix[k:required] == period * repeats + period[:frac_len]
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     q: int
     k: int
     value_lo: Fraction

@@ -3,6 +3,7 @@ and every module uses what it imports."""
 
 import ast
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,54 @@ def test_records_are_immutable_and_hashable(record, fields):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
     assert hash(record) == hash(type(record)(*record))
+
+
+# The result records: each built from its required fields alone, with its
+# fields in declaration order and the defaults of the rest.
+RESULT_RECORDS = [
+    (arithmetic.ComplementDivisibility, (15, 3, 5), ("value", "divisor", "quotient"), {}),
+    (cf.ContinuedFraction, (1, (2, 2)), ("a0", "quotients"), {}),
+    (cf.OrbitMaxResult, (2, 0, 1), ("max_quotient", "k", "i", "rows"), {"rows": ()}),
+    (
+        cf.SandwichResult,
+        (2, Fraction(2, 5), Fraction(1, 4), Fraction(1, 2), True),
+        ("sup_quotient", "min_quality", "lower", "upper", "holds"),
+        {},
+    ),
+    (
+        classify.Classification,
+        ("P2",),
+        ("tag", "matched", "depth_checked", "witness", "case_label", "confirmed_power",
+         "overlap", "growing_letter"),
+        dict.fromkeys(("matched", "depth_checked", "witness", "case_label", "confirmed_power",
+                       "overlap", "growing_letter")),
+    ),
+    (tm.Decomposition, ("0", "01", "1"), ("u", "y", "v"), {}),
+    (tm.OverlapFreePair, (True, True), ("y_free", "mu_y_free"), {}),
+    (
+        tm.DecompositionChain,
+        ((("0", "1"),), "01", 1, 2, 1, "0", "M"),
+        ("levels", "core", "depth", "tm_prefix_len", "offset", "letter", "target"),
+        {},
+    ),
+    (tm.IdentityCheck, ("scaling", {"r": 1}, True), ("identity", "params", "ok"), {}),
+    (
+        witness.BruteForceResult,
+        (3, 0, Fraction(0), Fraction(1, 2)),
+        ("q", "k", "value_lo", "value_hi"),
+        {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, fields, defaults", RESULT_RECORDS, ids=[c.__name__ for c, *_ in RESULT_RECORDS]
+)
+def test_result_records_keep_their_fields_and_defaults(cls, args, fields, defaults):
+    record = cls(*args)
+    assert record._fields == fields
+    assert cls._field_defaults == defaults
+    assert [getattr(record, name) for name in fields] == [*args, *defaults.values()]
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))

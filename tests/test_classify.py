@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -195,10 +194,10 @@ class TestToJson:
     def field_walk(result):
         """The set fields in declaration order, the overlap as its JSON object."""
         data = {}
-        for f in fields(result):
-            value = getattr(result, f.name)
+        for name in result._fields:
+            value = getattr(result, name)
             if value is not None:
-                data[f.name] = value.to_json() if f.name == "overlap" else value
+                data[name] = value.to_json() if name == "overlap" else value
         return data
 
     @pytest.mark.parametrize("depth", [8, 256])

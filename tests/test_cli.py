@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -536,7 +535,8 @@ class TestOtherCommands:
     def test_tm_identities_match_asdict(self, capsys):
         # nested params dicts, in their key order
         doc = run_json(capsys, "tm", "--a", "1", "--b", "2", "--n", "10", "--L", "1100")
-        want = [dataclasses.asdict(c) for c in cli.tm.tm_identity_suite(10, 1100)]
+        checks = cli.tm.tm_identity_suite(10, 1100)
+        want = [{name: getattr(c, name) for name in c._fields} for c in checks]
         assert len(want) == 66
         assert json.dumps(doc["result"]["identities"]) == json.dumps(want)
 
@@ -611,57 +611,72 @@ class TestParserReuse:
         assert codes == [0, 2, 2, 0, 0]
 
 
-# Run by a fresh interpreter with the source directory and a JSON list of
-# argument lists: prints whether numpy is loaded after each import, and the
-# exit code, output and numpy flag after main() of each argument list.
-NUMPY_PROBE = """
+# Run by a fresh interpreter with the source directory and three JSON lists:
+# module names to watch, modules to import first, and argument lists.  Prints
+# which watched modules are loaded after each import, and the exit code,
+# output and loaded flags after main() of each argument list.
+MODULE_PROBE = """
 import contextlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
+src, watched, preload, runs = sys.argv[1], *map(json.loads, sys.argv[2:])
+sys.path.insert(0, src)
+for name in preload:
+    __import__(name)
+loaded = lambda: [name in sys.modules for name in watched]
 import plcword
-imports = ["numpy" in sys.modules]
+imports = [loaded()]
 from plcword import cli
-imports.append("numpy" in sys.modules)
-runs = []
-for argv in json.loads(sys.argv[2]):
+imports.append(loaded())
+results = []
+for argv in runs:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    runs.append([code, out.getvalue(), "numpy" in sys.modules])
-print(json.dumps({"imports": imports, "runs": runs}))
+    results.append([code, out.getvalue(), loaded()])
+print(json.dumps({"imports": imports, "runs": results}))
 """
 
 
-def numpy_probe(*runs):
+def module_probe(watched, runs, preload=(), site=True):
+    """MODULE_PROBE in a fresh interpreter; without ``site`` it runs under
+    -S, so what the environment's .pth files import stays out of the answer
+    (and site-packages, numpy included, out of reach)."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    flags = ["-I", "-B"] if site else ["-I", "-S", "-B"]
     done = subprocess.run(
-        [sys.executable, "-I", "-B", "-c", NUMPY_PROBE, src, json.dumps(runs)],
+        [sys.executable, *flags, "-c", MODULE_PROBE, src,
+         *map(json.dumps, (watched, preload, runs))],
         capture_output=True, text=True, timeout=60, check=True,
     )
     return json.loads(done.stdout)
 
 
+def no_kernel_runs(tm_file, digits_file):
+    """Commands on tiny inputs that reach none of the numpy kernels."""
+    # classify on a P1, a P2 and a Case II P3 morphism
+    classify = [
+        ["classify", "--morphism", str(GOLDEN_INPUTS / name), "--start", "0"]
+        for name in ("tm.mrf", "ones_power.mrf", "overlap_ii.mrf")
+    ]
+    return [
+        ["cf", "--x", "7/5"],
+        ["orbit", "--x", "3/7", "--p", "3", "--K", "4"],
+        ["tm", "--a", "1", "--b", "2", "--n", "10", "--L", "40"],
+        ["gen", "--morphism", tm_file, "--start", "0", "--length", "16"],
+        ["verify", "--digits", str(GOLDEN_INPUTS / "fib40.txt"),
+         "--cert", str(GOLDEN_INPUTS / "fib.certs.json")],
+        ["decompose", "--digits", digits_file("0110100110010110")],
+        *classify,
+    ]
+
+
 class TestNumpyLoadsOnlyForAKernel:
     def test_commands_that_reach_no_kernel(self, tm_file, digits_file):
-        # classify on a P1, a P2 and a Case II P3 morphism
-        classify = [
-            ["classify", "--morphism", str(GOLDEN_INPUTS / name), "--start", "0"]
-            for name in ("tm.mrf", "ones_power.mrf", "overlap_ii.mrf")
-        ]
-        runs = [
-            ["cf", "--x", "7/5"],
-            ["orbit", "--x", "3/7", "--p", "3", "--K", "4"],
-            ["tm", "--a", "1", "--b", "2", "--n", "10", "--L", "40"],
-            ["gen", "--morphism", tm_file, "--start", "0", "--length", "16"],
-            ["verify", "--digits", str(GOLDEN_INPUTS / "fib40.txt"),
-             "--cert", str(GOLDEN_INPUTS / "fib.certs.json")],
-            ["decompose", "--digits", digits_file("0110100110010110")],
-            *classify,
-        ]
-        probe = numpy_probe(*runs)
-        assert probe["imports"] == [False, False]
+        runs = no_kernel_runs(tm_file, digits_file)
+        probe = module_probe(["numpy"], runs)
+        assert probe["imports"] == [[False]] * 2
         # numpy stays loaded once a command loads it, so the first True names it
         steps = [(argv[0], code, loaded) for argv, (code, _, loaded) in zip(runs, probe["runs"])]
-        assert steps == [(argv[0], 0, False) for argv in runs]
+        assert steps == [(argv[0], 0, [False]) for argv in runs]
         results = [json.loads(out)["result"] for _, out, _ in probe["runs"][-3:]]
         assert [(r["tag"], r.get("case_label")) for r in results] == [
             ("P1", None), ("P2", "CaseII-1^n"), ("P3", None)
@@ -673,9 +688,26 @@ class TestNumpyLoadsOnlyForAKernel:
         ["classify", "--morphism", str(GOLDEN_INPUTS / "overlap_iii.mrf"), "--start", "0"],
     ], ids=["cert", "classify-case-III"])
     def test_a_kernel_loads_numpy_at_its_first_call(self, argv):
-        probe = numpy_probe(argv)
-        assert probe["imports"] == [False, False]
-        assert [(code, loaded) for code, _, loaded in probe["runs"]] == [(0, True)]
+        probe = module_probe(["numpy"], [argv])
+        assert probe["imports"] == [[False]] * 2
+        assert [(code, loaded) for code, _, loaded in probe["runs"]] == [(0, [True])]
+
+
+class TestNoDataclassesOnTheImportPath:
+    # dataclasses imports inspect, which imports dis, ast, tokenize and linecache
+    WATCHED = ["dataclasses", "inspect"]
+
+    def test_imports_and_commands_load_neither(self, tm_file, digits_file):
+        runs = no_kernel_runs(tm_file, digits_file)
+        probe = module_probe(self.WATCHED, runs, site=False)
+        assert probe["imports"] == [[False, False]] * 2
+        steps = [(argv[0], code, loaded) for argv, (code, _, loaded) in zip(runs, probe["runs"])]
+        assert steps == [(argv[0], 0, [False, False]) for argv in runs]
+
+    def test_the_probe_sees_an_explicit_import(self):
+        probe = module_probe(self.WATCHED, [["cf", "--x", "7/5"]], ["dataclasses"], site=False)
+        assert probe["imports"] == [[True, True]] * 2
+        assert [(code, loaded) for code, _, loaded in probe["runs"]] == [(0, [True, True])]
 
 
 # Strings that would break a careless splitter, and ints past the digit limit.

@@ -1,13 +1,14 @@
 """Time the cold start of each command: fresh processes, median wall time.
 
 Prints one line per row: the median milliseconds of ``--runs`` fresh
-processes, whether the process loads numpy, and what it runs.  The rows are
-a bare interpreter (``python -c pass``), ``import plcword``, and
-``python -m plcword.cli <cmd>`` for each command on the fixed inputs in
-``tests/golden/inputs`` (``classify`` once per outcome: P1, P2, a Case II
-P3 and a Case III P3).  Every round runs each row once, in order, so a
+processes, whether the process loads numpy and dataclasses, and what it
+runs.  The rows are a bare interpreter (``python -c pass``), ``import
+plcword``, and ``python -m plcword.cli <cmd>`` for each command on the fixed
+inputs in ``tests/golden/inputs`` (``classify`` once per outcome: P1, P2, a
+Case II P3 and a Case III P3).  Every round runs each row once, in order, so a
 change in the machine's speed reaches every row alike.  Whether a row loads
-numpy is read from one more run under ``-X importtime``, which is not timed.
+numpy and dataclasses is read from one more run under ``-X importtime``,
+which is not timed.
 
 Run from anywhere: ``python tools/time_import.py --runs 11``.
 """
@@ -61,9 +62,10 @@ def run(args: list[str], env: dict[str, str]) -> subprocess.CompletedProcess:
                           stderr=subprocess.PIPE, text=True, timeout=120, check=True)
 
 
-def loads_numpy(args: list[str], env: dict[str, str]) -> bool:
+def imported(args: list[str], env: dict[str, str]) -> set[str]:
+    """The modules the run imports, as ``-X importtime`` names them."""
     stderr = run(["-X", "importtime", *args], env).stderr
-    return any(line.rsplit("|", 1)[-1].strip() == "numpy" for line in stderr.splitlines())
+    return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
 
 
 def main() -> None:
@@ -80,8 +82,10 @@ def main() -> None:
             seconds[label].append(time.perf_counter() - start)
     print(f"median of {runs} fresh processes, Python {sys.version.split()[0]}")
     for label, args in ROWS.items():
-        numpy = "numpy" if loads_numpy(args, env) else "no numpy"
-        print(f"{label:22} {1000 * statistics.median(seconds[label]):7.1f} ms  {numpy:8}  "
+        modules = imported(args, env)
+        flags = "".join(f"{('' if name in modules else 'no ') + name:16}"
+                        for name in ("numpy", "dataclasses"))
+        print(f"{label:22} {1000 * statistics.median(seconds[label]):7.1f} ms  {flags}"
               f"{' '.join(args)}")
 
 
