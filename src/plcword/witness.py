@@ -35,15 +35,14 @@ every real number whose expansion extends that prefix.
 ``brute_force_min`` is the independent cross-check: an exact interval
 minimisation of the functional over small q and k that knows nothing about
 periods or gcds.  It searches with integers; ``enclosure`` is the exact
-range at one pair.  A uint64 fixed-point prefilter encloses every
-candidate's upper end between two integers, in numpy blocks of q, and only
-the q whose lower end does not exceed the least upper end reach the exact
-test; the winning pair and its ties always do, so the result is exact and
-usually one q per k is tested.
+range at one pair.  By Legendre's theorem every q that can win at a shift
+k is a convergent denominator of the fraction that the digits after k
+spell, so one Euclid lists the O(log Q) candidates and the exact test runs
+on each of them.
 
-numpy is imported inside the functions that use it, the prefilter and the
-scan's run cut, so ``PlcCertificate.from_json``, ``verify_certificate``
-and ``enclosure`` never load it.
+numpy is imported inside the functions that use it, the scan's run cut,
+so ``PlcCertificate.from_json``, ``verify_certificate``, ``enclosure`` and
+``brute_force_min`` never load it.
 """
 
 from __future__ import annotations
@@ -290,52 +289,18 @@ def enclosure(prefix: str, base: int, q: int, k: int) -> tuple[Fraction, Fractio
     return Fraction(q * lo, 2 * den), Fraction(q * hi, 2 * den)
 
 
-# q per numpy block in ``_fixed_point_bounds``, so the prefilter's memory stays flat.
-_Q_BLOCK = 4096
-
-
-def _fixed_point_bounds(
-    shifted: int, den: int, max_q: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks (q, lo, hi) of uint64 arrays over q = 1 .. max_q < 2**63 with
-    lo <= q F U_q <= hi, where F = 2**(63 - max_q.bit_length()), U_q is the
-    largest ||y|| for y in [r, r + q] / den and r = q shifted mod den.
-
-    With alpha = floor(F shifted / den), U = q alpha mod F lies within q
-    below F * (q shifted / den mod 1), so d = min(U, F - U) is within q of
-    F ||r / den||.  U_q is at least ||r / den|| and at least half the
-    interval's length (capped at 1/2), and at most ||r / den|| + q / den
-    (capped at 1/2).  Every product stays below 2**63, as q F < 2**63.
-    """
-    import numpy as np
-
-    bits = 63 - max_q.bit_length()
-    one = 1 << bits
-    alpha = np.uint64((shifted << bits) // den)
-    mask, full = np.uint64(one - 1), np.uint64(one)
-    # F/2 rounded down for lo and up for hi: F is 1 once max_q >= 2**62
-    half, cap = np.uint64(one // 2), np.uint64((one + 1) // 2)
-    # F / den, clamped before the product: any step past F/2 is capped anyway
-    step = np.uint64(min(one // den + 1, (one + 1) // 2))
-    width = np.uint64(one // (2 * den))
-    for start in range(1, max_q + 1, _Q_BLOCK):
-        q = np.arange(start, min(start + _Q_BLOCK, max_q + 1), dtype=np.uint64)
-        u = (q * alpha) & mask  # wraps mod 2**64, a multiple of F
-        d = np.minimum(u, full - u)
-        lo = q * np.maximum(np.maximum(d, q) - q, np.minimum(q * width, half))
-        hi = q * np.minimum(cap, d + q + q * step)
-        yield q, lo, hi
-
-
-def _candidate_qs(shifted: int, den: int, max_q: int) -> Iterator[int]:
-    """Increasing q in [1, max_q] whose lower bound is at most every upper
-    bound so far: the first q with the least q U_q and every q tying it."""
-    import numpy as np
-
-    bound = 1 << 63  # above every hi
-    for q, lo, hi in _fixed_point_bounds(shifted, den, max_q):
-        bound = min(bound, int(hi.min()))
-        yield from q[lo <= np.uint64(bound)].tolist()
+def _convergent_denominators(r: int, den: int, max_q: int) -> Iterator[int]:
+    """The denominators q_0 = 1 <= q_1 < q_2 < ... at most max_q of the
+    regular continued fraction of r / den, 0 <= r < den, by one integer
+    Euclid that stops at the first denominator past max_q."""
+    prev, q = 0, 1
+    while q <= max_q:
+        yield q
+        if not r:
+            return
+        a, rem = divmod(den, r)
+        prev, q = q, a * q + prev
+        den, r = r, rem
 
 
 def brute_force_min(
@@ -346,14 +311,30 @@ def brute_force_min(
     Reports the pair whose ``enclosure`` has the least upper end, ties
     broken by smaller k then smaller q.  With den = p**(len-k), that end
     is q H / (2 den) for the integer H that ``_dist_interval`` gives on
-    [q v, q v + q], so only the winning pair becomes a ``Fraction``.
+    [q r, q r + q], with r the prefix's value mod den, so only the winning
+    pair becomes a ``Fraction``.
 
-    For each k, a fixed-point prefilter (``_candidate_qs``) first encloses
-    every q's upper end between integer bounds, a block of q at a time in
-    numpy, and keeps only the q whose lower bound is at most the least
-    upper bound so far.  The first minimiser and every q tying it always
-    pass, so the exact test, run on the kept q in increasing order, picks
-    the same pair as a test of every q; usually one q per k is kept.
+    For each k the exact test runs only on the convergent denominators
+    q <= max_q of y = r / den (``_convergent_denominators``, q = 1 first),
+    in increasing order, and picks the same pair as a test of every q.
+    Write F(q) for the upper end, q U_q with U_q the largest ||t|| on the
+    arc q [r, r + 1] / den:
+
+    * F(1) <= 1/2, so if the least F is 1/2, then q = 1 attains it and
+      wins the tie.
+    * If F(q) < 1/2, the arc lies within 1/(2q) of one integer a, so
+      |y - a/q| < 1/(2q^2).
+    * Take g = gcd(a, q) and q = g q'.  The q'-arc is the q-arc scaled
+      down by g, so F(q) = g^2 F(q'), and F(q') > 0.
+    * So every minimiser and every tie has g = 1, and by Legendre's
+      theorem a/q is then a convergent of y.
+
+    For rational y = [c_0; ..., c_n], c_n >= 2 (or n = 0), Legendre's a/q
+    may be a convergent of the other expansion [c_0; ..., c_n - 1, 1]; the
+    one that expansion adds, b/d with d = (c_n - 1) q_(n-1) + q_(n-2) =
+    q_n - q_(n-1), is never needed: |y - b/d| = 1/(q_n d) >= 1/(2 d^2), as
+    c_n >= 2 gives q_n >= 2 q_(n-1), so q_n <= 2 d.  Euclid stops at the
+    first denominator past max_q, so each k costs O(log max_q) exact tests.
     """
     _require_base(base)
     if max_q < 1:
@@ -368,10 +349,10 @@ def brute_force_min(
     # every k >= len gives the same enclosures, and ties keep the smaller k
     for k in range(min(max_k, length) + 1):
         den = base ** (length - k)
-        shifted = value % den
+        r = value % den
         top, arg = max_q * den + 1, 0
-        for q in _candidate_qs(shifted, den, max_q):
-            qh = q * _dist_interval(q * shifted, q * shifted + q, den)[1]
+        for q in _convergent_denominators(r, den, max_q):
+            qh = q * _dist_interval(q * r, q * r + q, den)[1]
             if qh < top:
                 top, arg = qh, q
         if top * best_den < best_top * den:

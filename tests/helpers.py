@@ -286,8 +286,8 @@ def naive_brute_force_min(
 def integer_brute_force_min(
     prefix: str, base: int, max_q: int, max_k: int
 ) -> BruteForceResult:
-    """Oracle for ``brute_force_min``'s prefilter: the same integer test,
-    run on every candidate (q, k) with no fixed-point filter."""
+    """Oracle for ``brute_force_min``'s candidate list: the same integer
+    test, run on every (q, k) instead of on the convergent denominators."""
     if max_q < 1:
         raise ValueError("max_q must be at least 1")
     if max_k < 0:

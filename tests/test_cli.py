@@ -665,6 +665,7 @@ def no_kernel_runs(tm_file, digits_file):
         ["verify", "--digits", str(GOLDEN_INPUTS / "fib40.txt"),
          "--cert", str(GOLDEN_INPUTS / "fib.certs.json")],
         ["decompose", "--digits", digits_file("0110100110010110")],
+        ["bruteforce", "--digits", str(GOLDEN_INPUTS / "tm64.txt"), "--Q", "1048576", "--K", "16"],
         *classify,
     ]
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -23,9 +22,8 @@ from helpers import (
 from plcword import witness
 from plcword.witness import (
     _bound_text,
-    _candidate_qs,
+    _convergent_denominators,
     _ell_floors,
-    _fixed_point_bounds,
     _plain_runs,
 )
 
@@ -253,35 +251,46 @@ class TestPrefilter:
         got = pw.brute_force_min(word, base, 5000, 14)
         assert got == integer_brute_force_min(word, base, 5000, 14)
 
-    def test_keeps_about_one_q_per_k(self):
-        word = pw.thue_morse_prefix(256)
-        value = pw.word_value(word, 2)
-        for k in range(16):
-            den = 2 ** (256 - k)
-            assert len(list(_candidate_qs(value % den, den, 1 << 16))) <= 2
-
     @given(
         st.integers(2, 10).flatmap(
-            lambda base: st.integers(0, 40).flatmap(
+            lambda base: st.integers(0, 12).flatmap(
                 lambda n: st.tuples(st.integers(0, base**n - 1), st.just(base**n))
             )
         ),
-        st.sampled_from((4097, 8192)) | st.integers(1, 4096) | st.integers(1, 2**62),
+        st.integers(1, 5000),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_bounds_enclose_every_upper_end(self, fraction, max_q):
-        # lo <= F q U_q <= hi for each q of the first two blocks
+    @example((0, 1), 5000)
+    @example((0, 2**12), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_every_minimiser_is_a_candidate(self, fraction, max_q):
+        # every q's exact upper end, by the Fraction oracle
         shifted, den = fraction
-        scale = 1 << (63 - max_q.bit_length())
-        blocks = itertools.islice(_fixed_point_bounds(shifted, den, max_q), 2)
-        for qs, lo, hi in blocks:
-            for q, low, high in zip(qs.tolist(), lo.tolist(), hi.tolist()):
-                a = q * shifted
-                top = q * _naive_dist_interval(a, a + q, den)[1]
-                assert low <= scale * top <= high
+        tops = [q * _naive_dist_interval(q * shifted, q * shifted + q, den)[1]
+                for q in range(1, max_q + 1)]
+        least = min(tops)
+        winners = {q for q, top in enumerate(tops, 1) if top == least}
+        assert winners <= set(_convergent_denominators(shifted, den, max_q))
+
+    def test_candidates_per_shift_are_logarithmic(self):
+        word = pw.thue_morse_prefix(256)
+        value = pw.word_value(word, 2)
+        max_q = 1 << 16
+        for k in range(16):
+            den = 2 ** (256 - k)
+            qs = list(_convergent_denominators(value % den, den, max_q))
+            assert len(qs) <= 2 * max_q.bit_length() + 3
+
+    def test_largest_q_refines_the_pinned_search(self):
+        # tests/golden/inputs/tm64.txt; (257, 16) is also what a test of every q gives
+        word = pw.thue_morse_prefix(64)
+        pinned = pw.brute_force_min(word, 2, 1 << 20, 16)
+        assert (pinned.q, pinned.k) == (257, 16)
+        assert pinned.value_hi == Fraction(378975541, 2**47)
+        widest = pw.brute_force_min(word, 2, (1 << 63) - 1, 16)
+        assert widest.value_hi <= pinned.value_hi
 
     def test_max_q_past_63_bits_rejected(self):
-        # q must fit the prefilter's 63-bit fixed point
+        # the search keeps q below 2**63
         with pytest.raises(ValueError, match=r"^max_q must be below 2\*\*63$"):
             pw.brute_force_min("01", 2, 1 << 63, 0)
 

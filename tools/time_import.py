@@ -10,7 +10,17 @@ change in the machine's speed reaches every row alike.  Whether a row loads
 numpy and dataclasses is read from one more run under ``-X importtime``,
 which is not timed.
 
-Run from anywhere: ``python tools/time_import.py --runs 11``.
+``--against DIR`` times a second source tree (a checkout with ``src`` and
+``tests/golden/inputs``) in the same rounds: each row runs in both trees
+back to back, the first tree alternating from round to round, and each line
+reads ``DIR's figures -> this tree's``.  Timing both trees minutes apart, in
+two runs, lets the machine's drift between the runs swamp the difference.
+Give both trees the same bytecode cache (``python -m compileall src`` in
+each): under ``PYTHONDONTWRITEBYTECODE`` a tree without one compiles every
+module in every process, about 10 ms a row on a 2-vCPU VM.
+
+Run from anywhere: ``python tools/time_import.py --runs 11``, or
+``python tools/time_import.py --runs 11 --against ../parent``.
 """
 
 from __future__ import annotations
@@ -57,36 +67,44 @@ ROWS = {
 }
 
 
-def run(args: list[str], env: dict[str, str]) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+def run(args: list[str], tree: Path) -> subprocess.CompletedProcess:
+    """One process of the row ``args``, run in ``tree`` on its own source."""
+    path = [str(tree / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True, timeout=120, check=True)
 
 
-def imported(args: list[str], env: dict[str, str]) -> set[str]:
+def imported(args: list[str], tree: Path) -> set[str]:
     """The modules the run imports, as ``-X importtime`` names them."""
-    stderr = run(["-X", "importtime", *args], env).stderr
+    stderr = run(["-X", "importtime", *args], tree).stderr
     return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=11, help="fresh processes per row")
-    runs = parser.parse_args().runs
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    seconds: dict[str, list[float]] = {label: [] for label in ROWS}
-    for _ in range(runs):
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="a second source tree, timed in the same rounds")
+    opts = parser.parse_args()
+    trees = [ROOT] if opts.against is None else [opts.against.resolve(), ROOT]
+    seconds = {(tree, label): [] for tree in trees for label in ROWS}
+    for round_ in range(opts.runs):
         for label, args in ROWS.items():
-            start = time.perf_counter()
-            run(args, env)
-            seconds[label].append(time.perf_counter() - start)
-    print(f"median of {runs} fresh processes, Python {sys.version.split()[0]}")
+            for tree in trees if round_ % 2 == 0 else trees[::-1]:
+                start = time.perf_counter()
+                run(args, tree)
+                seconds[tree, label].append(time.perf_counter() - start)
+    print(f"median of {opts.runs} fresh processes, Python {sys.version.split()[0]}"
+          + (f"; {trees[0]} -> {ROOT}" if opts.against else ""))
     for label, args in ROWS.items():
-        modules = imported(args, env)
-        flags = "".join(f"{('' if name in modules else 'no ') + name:16}"
-                        for name in ("numpy", "dataclasses"))
-        print(f"{label:22} {1000 * statistics.median(seconds[label]):7.1f} ms  {flags}"
-              f"{' '.join(args)}")
+        cells = []
+        for tree in trees:
+            modules = imported(args, tree)
+            flags = "".join(f"{('' if name in modules else 'no ') + name:16}"
+                            for name in ("numpy", "dataclasses"))
+            cells.append(f"{1000 * statistics.median(seconds[tree, label]):7.1f} ms  {flags}")
+        print(f"{label:22} {' -> '.join(cells)}{' '.join(args)}")
 
 
 if __name__ == "__main__":
