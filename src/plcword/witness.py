@@ -33,12 +33,12 @@ once per distinct window (p, kind, period, repeats, frac_len).  Re-reading
 the window from a prefix is then enough, because the inequality holds for
 every real number whose expansion extends that prefix.
 ``brute_force_min`` is the independent cross-check: an exact interval
-minimisation of the functional over small q and k that knows nothing about
-periods or gcds.  It searches with integers; ``enclosure`` is the exact
+minimisation of the functional over q <= Q and k <= K that knows nothing
+about periods or gcds.  It searches with integers; ``enclosure`` is the exact
 range at one pair.  By Legendre's theorem every q that can win at a shift
 k is a convergent denominator of the fraction that the digits after k
-spell, so one Euclid lists the O(log Q) candidates and the exact test runs
-on each of them.
+spell, so one Euclid lists the candidates and the exact test runs on each
+of them.  Q has no cap: at Q >= p**len the search covers every q.
 
 numpy is imported inside the functions that use it, the scan's run cut,
 so ``PlcCertificate.from_json``, ``verify_certificate``, ``enclosure`` and
@@ -306,7 +306,8 @@ def _convergent_denominators(r: int, den: int, max_q: int) -> Iterator[int]:
 def brute_force_min(
     prefix: str, base: int, max_q: int, max_k: int
 ) -> BruteForceResult:
-    """Exact interval minimisation of q * ||q p^k x|| over small q and k.
+    """Exact interval minimisation of q * ||q p^k x|| over q <= max_q and
+    k <= max_k.
 
     Reports the pair whose ``enclosure`` has the least upper end, ties
     broken by smaller k then smaller q.  With den = p**(len-k), that end
@@ -333,14 +334,20 @@ def brute_force_min(
     may be a convergent of the other expansion [c_0; ..., c_n - 1, 1]; the
     one that expansion adds, b/d with d = (c_n - 1) q_(n-1) + q_(n-2) =
     q_n - q_(n-1), is never needed: |y - b/d| = 1/(q_n d) >= 1/(2 d^2), as
-    c_n >= 2 gives q_n >= 2 q_(n-1), so q_n <= 2 d.  Euclid stops at the
-    first denominator past max_q, so each k costs O(log max_q) exact tests.
+    c_n >= 2 gives q_n >= 2 q_(n-1), so q_n <= 2 d.
+
+    Euclid stops at the first denominator past max_q or when the remainder
+    reaches 0, so each k costs at most the length of the Euclid of
+    r / p**(len-k), O(len - k) exact tests, however large max_q is.
+    max_q has no cap.  The last convergent denominator of r / den is at
+    most den, so max_q >= p**len runs every Euclid to its end, the result
+    is the least upper end over every q >= 1, and no larger max_q changes
+    it.  That is the exact search over every q, and it needs no path of
+    its own: ``bruteforce --Q <p**len>`` runs it.
     """
     _require_base(base)
     if max_q < 1:
         raise ValueError("max_q must be at least 1")
-    if max_q >= 1 << 63:
-        raise ValueError("max_q must be below 2**63")
     if max_k < 0:
         raise ValueError("max_k must be non-negative")
     length = len(prefix)

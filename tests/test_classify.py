@@ -39,6 +39,19 @@ class TestGrowsUnboundedly:
                 else:
                     assert lengths[12] == lengths[6], (m, letter)
 
+    def test_both_letters_grow_in_case_three(self):
+        # Case III: u is not all z, and v is non-empty and not a power of o;
+        # so any overlap classify finds there is on a growing letter
+        case_three = 0
+        for m, z in prolongable_binary_morphisms(4):
+            o = "1" if z == "0" else "0"
+            u, v = m.images[z][1:], m.images[o]
+            if set(u) == {z} or set(v) in (set(), {o}):
+                continue
+            case_three += 1
+            assert pw.grows_unboundedly(m, "0") and pw.grows_unboundedly(m, "1"), m
+        assert case_three == 572
+
 
 class TestClassifyBinary:
     def test_thue_morse_is_p1(self):

@@ -451,10 +451,12 @@ class TestOtherCommands:
         doc = run_json(capsys, "bruteforce", "--digits", path, "--p", "2", "--Q", "3", "--K", "0")
         assert doc["result"]["q"] == 3
 
-    def test_bruteforce_past_63_bit_q_is_validation_error(self, capsys, digits_file):
+    def test_bruteforce_past_63_bit_q_equals_every_q(self, capsys, digits_file):
+        # 1048576 = 2**20 already tests every q for a prefix of 20 letters
         path = digits_file("01" * 10)
-        code, out, err = run_cli(capsys, "bruteforce", "--digits", path, "--Q", str(1 << 63), "--K", "0")
-        assert (code, out, err) == (2, "", "error: max_q must be below 2**63\n")
+        wide = run_json(capsys, "bruteforce", "--digits", path, "--Q", str(1 << 63), "--K", "0")
+        every = run_json(capsys, "bruteforce", "--digits", path, "--Q", "1048576", "--K", "0")
+        assert wide["result"] == every["result"]
 
     def test_cf(self, capsys):
         doc = run_json(capsys, "cf", "--x", "7/5")

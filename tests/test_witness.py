@@ -288,11 +288,35 @@ class TestPrefilter:
         assert pinned.value_hi == Fraction(378975541, 2**47)
         widest = pw.brute_force_min(word, 2, (1 << 63) - 1, 16)
         assert widest.value_hi <= pinned.value_hi
+        # past 2**63, and at every q up to 2**64 = p**len
+        every = pw.brute_force_min(word, 2, 1 << 64, 16)
+        assert (every.q, every.k, every.value_hi) == (257, 16, Fraction(378975541, 2**47))
 
-    def test_max_q_past_63_bits_rejected(self):
-        # the search keeps q below 2**63
-        with pytest.raises(ValueError, match=r"^max_q must be below 2\*\*63$"):
-            pw.brute_force_min("01", 2, 1 << 63, 0)
+    @given(
+        # the longest prefixes with p**len <= 1024
+        st.sampled_from([(2, 10), (3, 6), (4, 5), (5, 4)]).flatmap(
+            lambda bl: digit_words(max_len=bl[1], bases=(bl[0],))
+        ).flatmap(lambda wb: st.tuples(st.just(wb), st.integers(0, len(wb[0]) + 2)))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_q_up_to_p_to_the_len_is_every_q(self, case):
+        # every convergent denominator of each shift is at most p**len, so
+        # no larger Q changes the result
+        (word, base), max_k = case
+        every_q = base ** len(word)
+        got = pw.brute_force_min(word, base, every_q, max_k)
+        assert got == naive_brute_force_min(word, base, every_q, max_k)
+        assert got == pw.brute_force_min(word, base, every_q * 10**30 + 7, max_k)
+
+    @pytest.mark.parametrize("j", range(2, 8))
+    def test_thue_morse_squares_are_found_exactly(self, j):
+        # mu^j(1) mu^j(1) sits at k = 2**j, and its period has a q of
+        # 2**(j-1) + 1 bits; at j = 7 that q is past 2**64
+        word = pw.thue_morse_prefix(3 * 2**j)
+        res = pw.brute_force_min(word, 2, 2 ** len(word), 2**j)
+        assert res.k == 2**j
+        assert res.q.bit_length() == 2 ** (j - 1) + 1
+        assert res.value_hi < Fraction(1, 2 ** (2**j))
 
 
 class TestEnclosure:
