@@ -37,8 +37,10 @@ minimisation of the functional over q <= Q and k <= K that knows nothing
 about periods or gcds.  It searches with integers; ``enclosure`` is the exact
 range at one pair.  By Legendre's theorem every q that can win at a shift
 k is a convergent denominator of the fraction that the digits after k
-spell, so one Euclid lists the candidates and the exact test runs on each
-of them.  Q has no cap: at Q >= p**len the search covers every q.
+spell, so one Euclid lists the candidates, and its remainder at each one
+is the residue of q times those digits that the exact test reads: no
+candidate forms that product of two numbers of up to len digits or
+reduces it.  Q has no cap: at Q >= p**len the search covers every q.
 
 numpy is imported inside the functions that use it, the scan's run cut,
 so ``PlcCertificate.from_json``, ``verify_certificate``, ``enclosure`` and
@@ -289,18 +291,22 @@ def enclosure(prefix: str, base: int, q: int, k: int) -> tuple[Fraction, Fractio
     return Fraction(q * lo, 2 * den), Fraction(q * hi, 2 * den)
 
 
-def _convergent_denominators(r: int, den: int, max_q: int) -> Iterator[int]:
+def _convergents(r: int, den: int, max_q: int) -> Iterator[tuple[int, int]]:
     """The denominators q_0 = 1 <= q_1 < q_2 < ... at most max_q of the
-    regular continued fraction of r / den, 0 <= r < den, by one integer
-    Euclid that stops at the first denominator past max_q."""
-    prev, q = 0, 1
+    regular continued fraction of r / den, 0 <= r < den, each with
+    D_j = q_j r - a_j den for its convergent a_j / q_j, by one integer
+    Euclid that stops at the first denominator past max_q.
+
+    D_(-1) = -den and D_0 = r, and D_(j+1) = c_(j+1) D_j + D_(j-1), so the
+    |D_j| are Euclid's remainders, their signs alternate and
+    q_j r = D_j (mod den)."""
+    prev, q, d_prev, d = 0, 1, -den, r
     while q <= max_q:
-        yield q
-        if not r:
+        yield q, d
+        if not d:
             return
-        a, rem = divmod(den, r)
-        prev, q = q, a * q + prev
-        den, r = r, rem
+        c, rem = divmod(-d_prev, d)
+        prev, q, d_prev, d = q, c * q + prev, d, -rem
 
 
 def brute_force_min(
@@ -313,10 +319,13 @@ def brute_force_min(
     broken by smaller k then smaller q.  With den = p**(len-k), that end
     is q H / (2 den) for the integer H that ``_dist_interval`` gives on
     [q r, q r + q], with r the prefix's value mod den, so only the winning
-    pair becomes a ``Fraction``.
+    pair becomes a ``Fraction``.  ``_dist_interval`` reads only the ends
+    mod den and whether a multiple of den lies between them, so it runs on
+    [D, D + q] instead, with D = q r - a den the remainder that Euclid
+    holds for the convergent a / q.
 
     For each k the exact test runs only on the convergent denominators
-    q <= max_q of y = r / den (``_convergent_denominators``, q = 1 first),
+    q <= max_q of y = r / den (``_convergents``, q = 1 first),
     in increasing order, and picks the same pair as a test of every q.
     Write F(q) for the upper end, q U_q with U_q the largest ||t|| on the
     arc q [r, r + 1] / den:
@@ -338,7 +347,8 @@ def brute_force_min(
 
     Euclid stops at the first denominator past max_q or when the remainder
     reaches 0, so each k costs at most the length of the Euclid of
-    r / p**(len-k), O(len - k) exact tests, however large max_q is.
+    r / p**(len-k): O(len - k) exact tests, each on a remainder below den
+    with no q r to form or reduce, however large max_q is.
     max_q has no cap.  The last convergent denominator of r / den is at
     most den, so max_q >= p**len runs every Euclid to its end, the result
     is the least upper end over every q >= 1, and no larger max_q changes
@@ -358,8 +368,8 @@ def brute_force_min(
         den = base ** (length - k)
         r = value % den
         top, arg = max_q * den + 1, 0
-        for q in _convergent_denominators(r, den, max_q):
-            qh = q * _dist_interval(q * r, q * r + q, den)[1]
+        for q, d in _convergents(r, den, max_q):
+            qh = q * _dist_interval(d, d + q, den)[1]
             if qh < top:
                 top, arg = qh, q
         if top * best_den < best_top * den:

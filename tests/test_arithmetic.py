@@ -198,6 +198,14 @@ class TestQuality:
             frac_part = shifted - (shifted.numerator // shifted.denominator)
             assert pw.quality(q, k, base, x) == pw.quality(q, 0, base, frac_part)
 
+    def test_q_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^q must be at least 1$"):
+            pw.quality(0, 0, 2, Fraction(1, 3))
+
+    def test_negative_k_is_rejected(self):
+        with pytest.raises(ValueError, match="^k must be non-negative$"):
+            pw.quality(1, -1, 2, Fraction(1, 3))
+
 
 class TestComplementDivisibility:
     def test_base3(self):

@@ -159,6 +159,15 @@ class TestFractionalSquares:
                 ]
                 assert got == literal_fractional_squares(word, 1, squares), word
 
+    def test_min_frac_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^min_frac must be at least 1$"):
+            pw.find_fractional_squares("0101010", 0, 3)
+
+    @pytest.mark.parametrize("squares", [1, 4])
+    def test_squares_other_than_two_or_three_is_rejected(self, squares):
+        with pytest.raises(ValueError, match="^squares must be 2 or 3$"):
+            pw.find_fractional_squares("0101010", 1, squares)
+
     def test_matches_oracle_on_random_words(self):
         rng = random.Random(13)
         for _ in range(150):
@@ -206,6 +215,10 @@ class TestComplementSquares:
     def test_single_letter_period(self):
         occs = pw.find_complement_squares("010", 2, 1)
         assert occs == [pw.ComplementOccurrence(0, "0", 1)]
+
+    def test_min_frac_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^min_frac must be at least 1$"):
+            pw.find_complement_squares("12101", 3, 0)
 
     def test_windows_reread_exactly(self):
         rng = random.Random(23)

@@ -168,6 +168,15 @@ class TestTmConstant:
         assert pw.tm_digit_word(0, 1, 16) == TM16
         assert pw.tm_digit_word(1, 0, 16) == pw.complement(TM16, 2)
 
+    @pytest.mark.parametrize("a, b", [(10, 1), (0, -1)])
+    def test_coded_digit_outside_0_to_9_is_rejected(self, a, b):
+        with pytest.raises(ValueError, match="^coded digits must be single decimal digits$"):
+            pw.tm_digit_word(a, b, 16)
+
+    def test_length_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^length must be at least 1$"):
+            pw.tm_constant(0, 1, 2, 0)
+
 
 class TestIdentitySuite:
     def test_scaling_base3(self):

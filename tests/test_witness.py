@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from helpers import (
 from plcword import witness
 from plcword.witness import (
     _bound_text,
-    _convergent_denominators,
+    _convergents,
     _ell_floors,
     _plain_runs,
 )
@@ -227,6 +228,38 @@ class TestBruteForceMatchesNaive:
             pw.enclosure(prefix, base, 1, 0)
 
 
+# 0 <= r < den = p**n, p in 2..10, n <= 12, as the exact search meets them
+SHIFTED_FRACTIONS = st.integers(2, 10).flatmap(
+    lambda base: st.integers(0, 12).flatmap(
+        lambda n: st.tuples(st.integers(0, base**n - 1), st.just(base**n))
+    )
+)
+
+
+class TestConvergents:
+    @given(SHIFTED_FRACTIONS, st.integers(1, 5000))
+    @example((0, 1), 5000)
+    @example((0, 2**12), 1)
+    @example((3**11, 3**12), 5000)
+    @settings(max_examples=150, deadline=None)
+    def test_denominators_and_remainders(self, fraction, max_q):
+        r, den = fraction
+        pairs = list(_convergents(r, den, max_q))
+        # the denominators, rebuilt from cf's quotients, cut at max_q
+        rebuilt, prev = [1], 0
+        for c in pw.cf_expand(Fraction(r, den)).quotients:
+            prev, q = rebuilt[-1], c * rebuilt[-1] + prev
+            rebuilt.append(q)
+        assert [q for q, _ in pairs] == list(takewhile(lambda q: q <= max_q, rebuilt))
+        for j, (q, d) in enumerate(pairs):
+            assert (q * r - d) % den == 0
+            # D_0 = r >= 0, then the signs alternate, and only the last is 0
+            assert d == 0 or (d > 0) == (j % 2 == 0)
+            assert d != 0 or j == len(pairs) - 1
+        ds = [abs(d) for _, d in pairs]
+        assert all(a > b for a, b in zip(ds, ds[1:]))
+
+
 class TestPrefilter:
     @given(
         digit_words(max_len=12, bases=range(2, 11)).flatmap(
@@ -251,14 +284,7 @@ class TestPrefilter:
         got = pw.brute_force_min(word, base, 5000, 14)
         assert got == integer_brute_force_min(word, base, 5000, 14)
 
-    @given(
-        st.integers(2, 10).flatmap(
-            lambda base: st.integers(0, 12).flatmap(
-                lambda n: st.tuples(st.integers(0, base**n - 1), st.just(base**n))
-            )
-        ),
-        st.integers(1, 5000),
-    )
+    @given(SHIFTED_FRACTIONS, st.integers(1, 5000))
     @example((0, 1), 5000)
     @example((0, 2**12), 1)
     @settings(max_examples=150, deadline=None)
@@ -269,7 +295,7 @@ class TestPrefilter:
                 for q in range(1, max_q + 1)]
         least = min(tops)
         winners = {q for q, top in enumerate(tops, 1) if top == least}
-        assert winners <= set(_convergent_denominators(shifted, den, max_q))
+        assert winners <= {q for q, _ in _convergents(shifted, den, max_q)}
 
     def test_candidates_per_shift_are_logarithmic(self):
         word = pw.thue_morse_prefix(256)
@@ -277,7 +303,7 @@ class TestPrefilter:
         max_q = 1 << 16
         for k in range(16):
             den = 2 ** (256 - k)
-            qs = list(_convergent_denominators(value % den, den, max_q))
+            qs = [q for q, _ in _convergents(value % den, den, max_q)]
             assert len(qs) <= 2 * max_q.bit_length() + 3
 
     def test_largest_q_refines_the_pinned_search(self):

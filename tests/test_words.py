@@ -60,6 +60,16 @@ class TestParseMorphism:
         with pytest.raises(pw.MorphismError):
             pw.parse_morphism("")
 
+    def test_apply_rejects_a_letter_without_a_rule(self):
+        with pytest.raises(pw.MorphismError, match="^letter '2' not in alphabet$"):
+            MU.apply("0120")
+
+    def test_equal_morphisms_hash_equal(self):
+        other = pw.parse_morphism("1 -> 10\n0 -> 01")
+        assert other == MU and other is not MU
+        assert hash(other) == hash(MU)
+        assert len({MU, other}) == 1
+
 
 class TestMortalLetters:
     def test_thue_morse_has_none(self):
@@ -270,6 +280,10 @@ class TestComplement:
 
 
 class TestStreams:
+    def test_negative_prefix_length_is_rejected(self):
+        with pytest.raises(ValueError, match="^prefix length must be non-negative$"):
+            pw.FixedPointStream(MU, "0").prefix(-1)
+
     def test_concurrent_readers_see_consistent_prefixes(self):
         stream = pw.FixedPointStream(MU, "0")
         reference = pw.fixed_point_prefix(MU, "0", 4096)
