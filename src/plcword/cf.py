@@ -11,13 +11,14 @@ the classical two-sided estimate 1/(sup+2) <= inf q||q y|| <= 1/sup.
 factor common to both scales every remainder and leaves every quotient as
 it is.  ``orbit_max_quotient`` thus steps the numerator of the fractional
 part, num -> num * base % den, and builds no ``Fraction`` and takes no gcd
-per orbit point.
+per orbit point.  It keeps one tuple of quotients per orbit point, not one
+(k, i, a) row per quotient: k and i are the tuple's place and the
+quotient's, and ``orbit``'s writer numbers them as it writes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -62,12 +63,13 @@ def cf_expand(x: Fraction) -> ContinuedFraction:
 
 
 class OrbitMaxResult(NamedTuple):
-    """The maximum with its (k, i), and every (k, i, a_i) scanned, in order."""
+    """The maximum with its (k, i), and for each k in 0..max_k the partial
+    quotients a_1, a_2, ... of {base**k * x}, empty for an integer."""
 
     max_quotient: int | None
     k: int | None
     i: int | None
-    rows: tuple[tuple[int, int, int], ...] = ()
+    quotients: tuple[tuple[int, ...], ...] = ()
 
 
 def orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
@@ -80,25 +82,25 @@ def orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
     For x = n/d in lowest terms, the fractional part of base**k * x is
     num_k/d with num_k = n * base**k mod d, one multiplication and one
     remainder after num_(k-1).  num_k/d need not be in lowest terms, but
-    Euclid's quotients do not depend on the terms, so every row is that of
-    ``cf_expand(base**k * x)``.
+    Euclid's quotients do not depend on the terms, so the tuple at k is
+    ``cf_expand(base**k * x).quotients``.
     """
     if max_k < 0:
         raise ValueError("max_k must be non-negative")
     x = Fraction(x)
     den = x.denominator
     num = x.numerator % den
-    rows: list[tuple[int, int, int]] = []
+    orbit = []
     best_k = best_i = best = None
     for k in range(max_k + 1):
-        quotients = _quotients(num, den)
-        rows.extend(zip(repeat(k), count(1), quotients))
+        quotients = tuple(_quotients(num, den))
+        orbit.append(quotients)
         top = max(quotients, default=None)
         # a strict rise keeps the earliest k, and index the leftmost i
         if top is not None and (best is None or top > best):
             best_k, best_i, best = k, quotients.index(top) + 1, top
         num = num * base % den
-    return OrbitMaxResult(best, best_k, best_i, tuple(rows))
+    return OrbitMaxResult(best, best_k, best_i, tuple(orbit))
 
 
 class SandwichResult(NamedTuple):

@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 
 from . import arithmetic, cf, classify, repetitions, tm, witness, words
 
@@ -117,8 +117,11 @@ def _cmd_cf(args) -> dict:
 
 def _cmd_orbit(args) -> dict:
     best = cf.orbit_max_quotient(arithmetic.parse_rational(args.x), args.p, args.K)
+    # one-shot rows: the writer is done with each of zip's tuples before the
+    # next, so zip reuses one tuple and no row is kept
+    rows = chain.from_iterable(zip(repeat(k), count(1), qs) for k, qs in enumerate(best.quotients))
     return {
-        "rows": _Rows(("k", "i", "a"), best.rows),
+        "rows": _Rows(("k", "i", "a"), rows),
         "max": {"a": best.max_quotient, "k": best.k, "i": best.i},
     }
 

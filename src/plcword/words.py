@@ -3,7 +3,8 @@
 Letters are single printable characters (``str.isprintable``, ASCII or
 not) and finite words are plain Python strings (the empty word is ``""``).
 Digit alphabets use the characters ``'0'..'9'``, so base-p digit words
-require ``2 <= p <= 10``.
+require ``2 <= p <= 10``.  A digit word is checked by one C pass over its
+ASCII bytes, and an error names its first letter that is not a digit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
 
 
 _DIGITS = "0123456789"
+# the digits of each base as bytes, indexed by the base
+_DIGIT_BYTES = tuple(_DIGITS[:base].encode() for base in range(11))
 
 
 class MorphismError(ValueError):
@@ -36,10 +39,22 @@ def _require_base(base: int) -> None:
 
 
 def _require_digits(word: str, base: int) -> None:
+    """ValueError naming the first letter of word that is not a base digit.
+
+    An ASCII word of digits is passed by one C pass, ``bytes.translate``
+    deleting the digits and leaving nothing.  Any other word has a letter
+    that is not a digit, and ``str.lstrip`` stops at the first one.  One
+    ``str.translate`` deleting the digits would name it too, with no second
+    path, but it is 2.5-3x slower on a word of digits: 2.1 against 0.85 us
+    for 1,129 base-10 digits, 25 against 8 us for 16,384 base-2 digits."""
     _require_base(base)
+    try:
+        if not word.encode("ascii").translate(None, _DIGIT_BYTES[base]):
+            return
+    except UnicodeEncodeError:
+        pass
     rest = word.lstrip(_DIGITS[:base])
-    if rest:
-        raise ValueError(f"letter {rest[0]!r} is not a base-{base} digit")
+    raise ValueError(f"letter {rest[0]!r} is not a base-{base} digit")
 
 
 class Morphism:

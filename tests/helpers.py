@@ -318,15 +318,13 @@ def integer_brute_force_min(
 
 
 def naive_orbit_max_quotient(x: Fraction, base: int, max_k: int) -> OrbitMaxResult:
-    """Oracle for ``orbit_max_quotient``: every row as a tuple, then one
-    lambda-keyed ``max``, which keeps the first (leftmost) of equal keys."""
-    rows = tuple(
-        (k, i, a)
-        for k in range(max_k + 1)
-        for i, a in enumerate(cf_expand(x * base**k).quotients, start=1)
-    )
+    """Oracle for ``orbit_max_quotient``: the quotients of each orbit point
+    by ``cf_expand``, then one lambda-keyed ``max`` over every (k, i, a),
+    which keeps the first (leftmost) of equal keys."""
+    quotients = tuple(cf_expand(x * base**k).quotients for k in range(max_k + 1))
+    rows = [(k, i, a) for k, qs in enumerate(quotients) for i, a in enumerate(qs, start=1)]
     k, i, a = max(rows, key=lambda row: row[2], default=(None, None, None))
-    return OrbitMaxResult(a, k, i, rows)
+    return OrbitMaxResult(a, k, i, quotients)
 
 
 def naive_tm_identity_suite(base: int, length: int) -> list[IdentityCheck]:

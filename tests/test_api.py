@@ -96,7 +96,7 @@ def test_records_are_immutable_and_hashable(record, fields):
 RESULT_RECORDS = [
     (arithmetic.ComplementDivisibility, (15, 3, 5), ("value", "divisor", "quotient"), {}),
     (cf.ContinuedFraction, (1, (2, 2)), ("a0", "quotients"), {}),
-    (cf.OrbitMaxResult, (2, 0, 1), ("max_quotient", "k", "i", "rows"), {"rows": ()}),
+    (cf.OrbitMaxResult, (2, 0, 1), ("max_quotient", "k", "i", "quotients"), {"quotients": ()}),
     (
         cf.SandwichResult,
         (2, Fraction(2, 5), Fraction(1, 4), Fraction(1, 2), True),

@@ -44,7 +44,7 @@ class TestOrbitMaxQuotient:
         res = pw.orbit_max_quotient(Fraction(1, 3), 2, 2)
         assert (res.max_quotient, res.k, res.i) == (3, 0, 1)
         # 1/3 = [0; 3], 2/3 = [0; 1, 2], 4/3 = [1; 3]; the tie at k = 2 loses
-        assert res.rows == ((0, 1, 3), (1, 1, 1), (1, 2, 2), (2, 1, 3))
+        assert res.quotients == ((3,), (1, 2), (3,))
 
     def test_integral_orbit_point_skipped(self):
         res = pw.orbit_max_quotient(Fraction(1, 2), 2, 1)
@@ -56,7 +56,7 @@ class TestOrbitMaxQuotient:
 
     def test_integer_input_has_no_quotients(self):
         res = pw.orbit_max_quotient(Fraction(5), 2, 4)
-        assert res == pw.OrbitMaxResult(None, None, None)
+        assert res == pw.OrbitMaxResult(None, None, None, ((),) * 5)
 
     def test_monotone_in_k(self):
         rng = random.Random(3)

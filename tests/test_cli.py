@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcword import cli, repetitions
+from plcword.cf import cf_expand
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 TM_RULES = "0->01;1->10"
@@ -155,6 +157,11 @@ class TestDigitArguments:
         doc = run_json(capsys, command, "--digits", path, *DIGIT_COMMANDS[command])
         assert doc["config"]["p"] == 2
         assert doc["config"]["digits"] == path
+
+    def test_whitespace_is_ignored(self, digits_file):
+        assert cli.digits_io(digits_file(" 01 2\n\t10\r\n"), 3) == "01210"
+        with pytest.raises(ValueError, match="letter '2' is not a base-2 digit"):
+            cli.digits_io(digits_file("01\n 2"), 2)
 
 
 class TestDetect:
@@ -502,6 +509,22 @@ class TestOtherCommands:
         doc = run_json(capsys, "orbit", "--x", "5/7", "--p", "2", "--K", "48")
         assert len(calls) == 49
         assert len(doc["result"]["rows"]) > 49
+
+    # 300-bit parts and K <= 48 cover the perfbench orbit jobs (256 bits, K = 48)
+    @given(st.integers(-(2**300) + 1, 2**300 - 1), st.integers(1, 2**300 - 1),
+           st.integers(2, 10), st.integers(0, 48))
+    @settings(max_examples=60, deadline=None)
+    def test_orbit_rows_are_written_as_naive_rows(self, num, den, base, max_k):
+        args = cli._parser().parse_args(
+            ["orbit", f"--x={num}/{den}", "--p", str(base), "--K", str(max_k)]
+        )
+        x = Fraction(num, den)
+        rows = [
+            {"k": k, "i": i, "a": a}
+            for k in range(max_k + 1)
+            for i, a in enumerate(cf_expand(x * base**k).quotients, start=1)
+        ]
+        assert cli._dumps(args.func(args)["rows"]) == json.dumps(rows, indent=2)
 
     def test_decompose(self, capsys, digits_file):
         path = digits_file("0110100110010110")
@@ -905,7 +928,9 @@ class TestWriter:
         args = cli._parser().parse_args(argv)
         rows = args.func(args)[key]
         assert isinstance(rows, cli._Rows)
-        assert list(map(len, rows.rows)) and set(map(len, rows.rows)) == {len(rows.keys)}
+        # read once: orbit's rows are a one-shot iterable
+        widths = [len(row) for row in rows.rows]
+        assert widths and set(widths) == {len(rows.keys)}
 
     def test_declared_rows_are_not_an_array(self):
         # written only through _rows: no encoder takes them as a list

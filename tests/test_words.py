@@ -4,10 +4,11 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plcword as pw
+from plcword.words import _require_digits
 from helpers import (
     digit_words,
     naive_complement,
@@ -277,6 +278,25 @@ class TestComplement:
     def test_involution(self, base, word):
         word = "".join(ch for ch in word if int(ch) < base)
         assert pw.complement(pw.complement(word, base), base) == word
+
+
+class TestRequireDigits:
+    @given(st.tuples(st.text(), st.integers(2, 10)) | digit_words())
+    @example(("01\u00e9", 2))  # not ASCII: the lstrip path
+    @example(("012", 2))
+    @example(("", 2))
+    @example(("0\x001\n", 2))
+    @settings(max_examples=300)
+    def test_first_letter_that_is_not_a_digit(self, word_base):
+        # the naive oracle: the first letter not in "0123456789"[:base]
+        word, base = word_base
+        bad = next((ch for ch in word if ch not in "0123456789"[:base]), None)
+        if bad is None:
+            _require_digits(word, base)
+        else:
+            with pytest.raises(ValueError) as exc:
+                _require_digits(word, base)
+            assert str(exc.value) == f"letter {bad!r} is not a base-{base} digit"
 
 
 class TestStreams:
