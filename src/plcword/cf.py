@@ -13,7 +13,9 @@ it is.  ``orbit_max_quotient`` thus steps the numerator of the fractional
 part, num -> num * base % den, and builds no ``Fraction`` and takes no gcd
 per orbit point.  It keeps one tuple of quotients per orbit point, not one
 (k, i, a) row per quotient: k and i are the tuple's place and the
-quotient's, and ``orbit``'s writer numbers them as it writes.
+quotient's.  ``orbit``'s writer (``cli._shift_rows``) fills each tuple into
+one template per shift that already holds k and i as text, so only the
+quotients are formatted.
 """
 
 from __future__ import annotations

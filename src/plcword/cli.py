@@ -2,6 +2,11 @@
 
 Exit status: 0 on success, 2 on validation errors (bad flags, malformed
 input files), 1 on internal assertion failures.
+
+``_dumps`` writes the document byte for byte as ``json.dumps(indent=2)``
+does.  Row lists come declared, so no row dict is built: ``_Rows`` (keys
+once, then value tuples) and, for ``orbit``, ``_ShiftRows`` (one tuple of
+quotients per shift).
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 
 from . import arithmetic, cf, classify, repetitions, tm, witness, words
 
@@ -117,11 +122,8 @@ def _cmd_cf(args) -> dict:
 
 def _cmd_orbit(args) -> dict:
     best = cf.orbit_max_quotient(arithmetic.parse_rational(args.x), args.p, args.K)
-    # one-shot rows: the writer is done with each of zip's tuples before the
-    # next, so zip reuses one tuple and no row is kept
-    rows = chain.from_iterable(zip(repeat(k), count(1), qs) for k, qs in enumerate(best.quotients))
     return {
-        "rows": _Rows(("k", "i", "a"), rows),
+        "rows": _ShiftRows(best.quotients),
         "max": {"a": best.max_quotient, "k": best.k, "i": best.i},
     }
 
@@ -239,7 +241,9 @@ class _Rows:
     for row in rows]``, by ``_rows``.  It is neither a list nor a tuple, so
     no encoder can write it as an array by mistake.  ``_rows`` checks only
     that the values fill whole rows, so a row of another width would put
-    values under the wrong keys; the tests check every producer's rows."""
+    values under the wrong keys; the tests check every producer's rows.
+    ``orbit``'s rows, whose k and i only restate places, are a
+    ``_ShiftRows`` instead."""
 
     __slots__ = ("keys", "rows")
 
@@ -248,25 +252,36 @@ class _Rows:
         self.rows = rows
 
 
+class _ShiftRows:
+    """``orbit``'s rows, declared as ``quotients``: one tuple of positive
+    ints per shift k = 0, 1, ..., the partial quotients a_1, a_2, ... of
+    that shift, empty for none.  It is written as ``json.dumps`` writes
+    ``[{"k": k, "i": i, "a": a} for k, qs in enumerate(quotients) for i, a
+    in enumerate(qs, 1)]``, by ``_shift_rows``.  Like ``_Rows`` it is no
+    list, so no encoder writes it by mistake."""
+
+    __slots__ = ("quotients",)
+
+    def __init__(self, quotients: tuple[tuple[int, ...], ...]):
+        self.quotients = quotients
+
+
 def _scalars(types: set) -> bool:
-    """No dict, list, tuple or ``_Rows`` among the types, which
-    ``set(map(type, values))`` reads in C."""
-    return not any(issubclass(t, (dict, list, tuple, _Rows)) for t in types)
+    """No dict, list, tuple, ``_Rows`` or ``_ShiftRows`` among the types,
+    which ``set(map(type, values))`` reads in C."""
+    return not any(issubclass(t, (dict, list, tuple, _Rows, _ShiftRows)) for t in types)
 
 
 def _rows(obj: _Rows, level: int) -> str:
-    """``_dumps`` of declared rows, with one call over all their values.
+    """``_dumps`` of declared rows, with one encoder call over all their values.
 
     The values are flattened in row order and must fill whole rows of
     ``len(keys)`` values (AssertionError otherwise); no rows write ``[]``.
-    If every value is a plain int (not a bool), that call is one ``%``
-    format of the row template repeated: ``%d`` writes an int as json does,
-    and raises the same ValueError past the int-to-str digit limit.
-    Otherwise every value, which must be a scalar (TypeError otherwise), is
-    encoded at once with a newline as the item separator, so the text
-    splits into one piece per value: no encoded scalar holds a raw newline
-    (``ensure_ascii`` escapes it).  The pieces are then interleaved with the
-    indented ``"key": `` heads.
+    Every value, which must be a scalar (TypeError otherwise), is encoded
+    at once with a newline as the item separator, so the text splits into
+    one piece per value: no encoded scalar holds a raw newline
+    (``ensure_ascii`` escapes it).  The pieces are then interleaved with
+    the indented ``"key": `` heads.
     """
     keys = obj.keys
     values = tuple(chain.from_iterable(obj.rows))
@@ -276,10 +291,6 @@ def _rows(obj: _Rows, level: int) -> str:
         return "[]"
     types = set(map(type, values))
     outer, inner, deeper = ("\n" + "  " * (level + d) for d in range(3))
-    if types == {int}:
-        fields = (_encode(0)(key).replace("%", "%%") + ": %d" for key in keys)
-        row = "{" + deeper + ("," + deeper).join(fields) + inner + "}"
-        return ("[" + inner + ("," + inner).join(repeat(row, count)) + outer + "]") % values
     if not _scalars(types):
         raise TypeError(f"row values must be scalars, got {sorted(t.__name__ for t in types)}")
     pieces = iter(json.JSONEncoder(separators=("\n", ": ")).encode(values)[1:-1].split("\n"))
@@ -293,31 +304,58 @@ def _rows(obj: _Rows, level: int) -> str:
     return "".join(chain(["[" + heads[0][1:]], text, [outer + "]"]))
 
 
+def _shift_rows(obj: _ShiftRows, level: int) -> str:
+    """``_dumps`` of ``orbit``'s rows, with one ``%`` format per shift.
+
+    k and i are written as text once: the template of shift k holds them,
+    with a ``%d`` per quotient, so only the quotients are formatted.  ``%d``
+    writes an int as json does, and raises the same ValueError past the
+    int-to-str digit limit.  Empty shifts write nothing, and if every shift
+    is empty the rows write ``[]``.
+    """
+    outer, inner, deeper = ("\n" + "  " * (level + d) for d in range(3))
+    numbers = [str(i) for i in range(1, max(map(len, obj.quotients), default=0) + 1)]
+    tail = "," + deeper + '"a": %d' + inner + "}"
+    parts = []
+    for k, qs in enumerate(obj.quotients):
+        if qs:
+            head = "{" + deeper + f'"k": {k},' + deeper + '"i": '
+            template = (tail + "," + inner + head).join(numbers[:len(qs)])
+            parts.append(f"{head}{template}{tail}" % qs)
+    if not parts:
+        return "[]"
+    return f"[{inner}{(',' + inner).join(parts)}{outer}]"
+
+
 def _dumps(obj, level: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, with the C encoder doing the work,
-    where a ``_Rows`` is written as its list of dicts.
+    where a ``_Rows`` or ``_ShiftRows`` is written as its list of dicts.
 
-    Declared rows, such as certificates or ``orbit`` rows, are one encoder
-    call over the flat tuple of all their values, or one ``%`` format if they
-    are all ints (``_rows``).  A dict or list of scalars is one encoder call
-    a level deeper, its brackets then moved onto their own lines.  Anything
-    else recurses item by item, a plain list of dicts included.
+    Declared rows, such as certificates, are one encoder call over the flat
+    tuple of all their values (``_rows``); ``orbit``'s rows are one ``%``
+    format per shift (``_shift_rows``).  A dict or list of scalars is one
+    encoder call a level deeper, its brackets then moved onto their own
+    lines.  Anything else recurses item by item, a plain list of dicts
+    included.  Each level is joined into one string with one f-string, so
+    the text below it is copied once per level.
     """
     if isinstance(obj, _Rows):
         return _rows(obj, level)
+    if isinstance(obj, _ShiftRows):
+        return _shift_rows(obj, level)
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _encode(0)(obj)
     outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
     is_dict = isinstance(obj, dict)
     if _scalars(set(map(type, obj.values() if is_dict else obj))):
         text = _encode(level + 1)(obj)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
+        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
     if is_dict:
         # the key as json writes it: a str, or an int, float, bool or None as text
         items = (_encode(0)({key: None})[1:-7] + ": " + _dumps(value, level + 1)
                  for key, value in obj.items())
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    return "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in obj) + outer + "]"
+        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
+    return f"[{inner}{(',' + inner).join(_dumps(v, level + 1) for v in obj)}{outer}]"
 
 
 @functools.cache
@@ -341,7 +379,7 @@ def main(argv=None) -> int:
         text = _dumps(document)
         if args.out:
             with open(args.out, "w", encoding="ascii") as handle:
-                handle.write(text + "\n")
+                print(text, file=handle)
         else:
             print(text)
     except (ValueError, OSError, KeyError) as exc:

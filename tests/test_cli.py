@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plcword import cli, repetitions
@@ -514,6 +514,13 @@ class TestOtherCommands:
     @given(st.integers(-(2**300) + 1, 2**300 - 1), st.integers(1, 2**300 - 1),
            st.integers(2, 10), st.integers(0, 48))
     @settings(max_examples=60, deadline=None)
+    # only some shifts are integers, every shift is, and K = 0
+    @example(1, 4, 2, 5)
+    @example(5, 8, 2, 6)
+    @example(-7, 9, 3, 4)
+    @example(-3, 1000, 10, 4)
+    @example(0, 1, 2, 3)
+    @example(7, 3, 2, 0)
     def test_orbit_rows_are_written_as_naive_rows(self, num, den, base, max_k):
         args = cli._parser().parse_args(
             ["orbit", f"--x={num}/{den}", "--p", str(base), "--K", str(max_k)]
@@ -757,7 +764,7 @@ KEYS = st.one_of(TRICKY_TEXT, st.text(), st.integers(), st.booleans(), st.none()
 ROWS = st.lists(st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4), min_size=1, max_size=4)
 
 
-# plain ints as ``orbit`` rows hold them, with 0 and negatives often
+# plain ints, with 0 and negatives often, which rows of ints write through the encoder
 INTS = st.integers() | st.integers(-3, 3)
 
 
@@ -816,8 +823,22 @@ def declared_rows(draw, scalars=SCALARS):
     return cli._Rows(tuple(keys), form(rows))
 
 
+@st.composite
+def shift_rows(draw):
+    """A ``cli._ShiftRows`` as ``orbit`` declares one: a tuple of per-shift
+    tuples of positive ints, some empty, sometimes with one int past the
+    int-to-str digit limit."""
+    quotient = st.integers(1, 3) | st.integers(1, 2**80)
+    shifts = draw(st.lists(st.lists(quotient, max_size=4), max_size=5))
+    if any(shifts) and draw(st.sampled_from([False, False, False, True])):
+        qs = draw(st.sampled_from([qs for qs in shifts if qs]))
+        qs[draw(st.integers(0, len(qs) - 1))] = 10**4400 + draw(st.integers(0, 3))
+    return cli._ShiftRows(tuple(map(tuple, shifts)))
+
+
 JSON_VALUES = st.recursive(
-    SCALARS | ROWS | same_keyed_rows() | same_keyed_rows(INTS) | declared_rows() | declared_rows(INTS),
+    SCALARS | ROWS | same_keyed_rows() | same_keyed_rows(INTS) | declared_rows() | declared_rows(INTS)
+    | shift_rows(),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -836,9 +857,11 @@ def dumped(dump, obj):
 
 
 def as_dicts(obj):
-    """obj with every ``cli._Rows`` as the list of dicts it is written as.
-    Rows given as an iterator are read here, so the iterator is replaced by
-    a fresh one over the same rows."""
+    """obj with every ``cli._Rows`` and ``cli._ShiftRows`` as the list of
+    dicts it is written as.  Rows given as an iterator are read here, so the
+    iterator is replaced by a fresh one over the same rows."""
+    if isinstance(obj, cli._ShiftRows):
+        return [{"k": k, "i": i, "a": a} for k, qs in enumerate(obj.quotients) for i, a in enumerate(qs, 1)]
     if isinstance(obj, cli._Rows):
         rows = [tuple(row) for row in obj.rows]
         if not isinstance(obj.rows, (tuple, list)):
@@ -884,6 +907,8 @@ class TestWriter:
             [cli._Rows(("%d",), [(1,), (2,)]), cli._Rows(("a", "b"), ((True, 1),))],
             {"a": [cli._Rows(("a",), [("x",), (None,)])]}, cli._Rows(("a",), [(10**4400,)]),
             cli._Rows(("a",), [(-1.5,), (10**4299,)]),
+            cli._ShiftRows(()), cli._ShiftRows(((), ())), [cli._ShiftRows(((3,),)), {}],
+            {"rows": cli._ShiftRows(((), (1, 2), (), (4,)))}, cli._ShiftRows(((1,), (10**4400,))),
         ],
     )
     def test_declared_edge_cases(self, obj):
@@ -891,7 +916,10 @@ class TestWriter:
 
     @pytest.mark.parametrize(
         "value",
-        [[], {}, [1], {"a": 1}, (1, 2), pytest.param(cli._Rows(("a",), [(1,)]), id="_Rows")],
+        [
+            [], {}, [1], {"a": 1}, (1, 2), pytest.param(cli._Rows(("a",), [(1,)]), id="_Rows"),
+            pytest.param(cli._ShiftRows(((1,),)), id="_ShiftRows"),
+        ],
         ids=repr,
     )
     def test_nested_row_value_is_a_type_error(self, value):
@@ -927,12 +955,19 @@ class TestWriter:
             argv = [*argv, "--cert", str(cert_path)]
         args = cli._parser().parse_args(argv)
         rows = args.func(args)[key]
+        if argv[0] == "orbit":
+            # one tuple of ints per shift k = 0..K
+            assert isinstance(rows, cli._ShiftRows)
+            assert len(rows.quotients) == 8 + 1
+            assert all(type(qs) is tuple and {type(a) for a in qs} <= {int} for qs in rows.quotients)
+            return
         assert isinstance(rows, cli._Rows)
-        # read once: orbit's rows are a one-shot iterable
         widths = [len(row) for row in rows.rows]
         assert widths and set(widths) == {len(rows.keys)}
 
     def test_declared_rows_are_not_an_array(self):
-        # written only through _rows: no encoder takes them as a list
+        # written only through _rows and _shift_rows: no encoder takes them as a list
         with pytest.raises(TypeError):
             json.dumps(cli._Rows(("a",), [(1,)]))
+        with pytest.raises(TypeError):
+            json.dumps(cli._ShiftRows(((1,),)))
